@@ -6,8 +6,14 @@ A target is specified through an energy ``f`` with density
     f(x) = -log sum_i w_i exp(-||x - mu_i||^2 / (2 sigma2))
 
 so each component is a sub-probability bump and ``f >= 0`` everywhere.
-All log-density arithmetic uses max-subtraction; component
-responsibilities come out of the same softmax pass as the gradient.
+Expanding the square gives ``f(x) = ||x||^2 / (2 sigma2) - logsumexp_i a_i``
+with ``a_i = x . mu_i / sigma2 + log w_i - ||mu_i||^2 / (2 sigma2)``, so
+the kernels need one (n, m) array instead of (m, n, d) differences.
+``f`` takes the logsumexp by logaddexp; ``f_and_grad`` uses
+max-subtraction, and the component responsibilities come out of the same
+softmax pass as the gradient ``(x - sum_i resp_i mu_i) / sigma2``. Each
+row's result is computed the same way whatever the batch size, so a
+point's energy and gradient do not depend on the rows evaluated with it.
 """
 from __future__ import annotations
 
@@ -102,6 +108,9 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigma2", s2)
+        object.__setattr__(self, "_mu_scaled", mu / s2)
+        shift = np.log(w) - np.einsum("nd,nd->n", mu, mu) / (2.0 * s2)
+        object.__setattr__(self, "_a_shift", shift[:, None])
 
     @property
     def n(self) -> int:
@@ -130,9 +139,12 @@ class GaussianMixture:
         """Energy f(x); float for a single point, (m,) array for a batch."""
         pts, single = _as_points(x, self.d)
         _check_finite(pts)
-        a, _ = self._log_terms(pts)
-        m = a.max(axis=1)
-        val = -(m + np.log(np.exp(a - m[:, None]).sum(axis=1)))
+        a = np.einsum("nd,md->nm", self._mu_scaled, pts)
+        a += self._a_shift
+        # one logaddexp pass takes the fewest numpy calls for the single
+        # points of quadrature, and it adds in component order for any m
+        val = (np.einsum("md,md->m", pts, pts) / (2.0 * self.sigma2)
+               - np.logaddexp.reduce(a, axis=0))
         return float(val[0]) if single else val
 
     def grad(self, x):
@@ -151,14 +163,23 @@ class GaussianMixture:
         return fv, g
 
     def _f_grad(self, pts):
-        a, diff = self._log_terms(pts)
-        m = a.max(axis=1)
-        e = np.exp(a - m[:, None])
-        s = e.sum(axis=1)
-        fv = -(m + np.log(s))
-        resp = e / s[:, None]
-        g = np.einsum("mn,mnd->md", resp, diff) / self.sigma2
-        return fv, g
+        # Work on a (d, m) copy so that einsum and the sums over components
+        # run over rows innermost, which is fast and adds in the same order
+        # for every row. A lone row would drop that axis and switch both to
+        # another summation order, so it is doubled.
+        m = pts.shape[0]
+        xt = np.repeat(pts.T, 2, axis=1) if m == 1 else pts.T.copy()
+        e = np.einsum("nd,dm->nm", self._mu_scaled, xt)
+        e += self._a_shift
+        top = e.max(axis=0)
+        e -= top
+        np.exp(e, out=e)
+        s = e.sum(axis=0)
+        fv = np.einsum("dm,dm->m", xt, xt) / (2.0 * self.sigma2) - (top + np.log(s))
+        e /= s
+        xt -= np.einsum("nm,nd->dm", e, self.means)
+        xt /= self.sigma2
+        return fv[:m], xt.T[:m]
 
 
 @dataclass(frozen=True)

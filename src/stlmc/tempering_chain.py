@@ -10,7 +10,10 @@ the true target temperature.
 ``run_stlmc`` drives one chain and records a full trace;
 ``run_tempering_batch`` advances many independent replicas at once,
 gathering the rows that drew a within-level move so the gradient loop
-only touches active chains.
+only touches active chains. Its rows may form several blocks, each
+drawing from its own generator: the arithmetic runs once on all rows,
+and each block's results are the same as if it ran alone, so callers
+choose the width of a call apart from how its randomness is split.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RetriesExhaustedError
+from .errors import NonFiniteGradientError, RetriesExhaustedError
 from .langevin_kernel import LangevinParams, check_step_size, run_macro_step
 
 __all__ = [
@@ -239,6 +242,11 @@ def merge_batch_stats(into: dict, other: dict) -> dict:
     return into
 
 
+def _per_block(rngs, counts, draw):
+    """Concatenate ``draw(rng, count)`` over the blocks, in block order."""
+    return np.concatenate([draw(g, c) for g, c in zip(rngs, counts)])
+
+
 def run_tempering_batch(
     target,
     betas,
@@ -258,7 +266,30 @@ def run_tempering_batch(
     is passed, per-pair proposal/acceptance counts, per-step level
     occupancy (from ``occupancy_burn_in`` on) and the gradient-evaluation
     count are accumulated into it.
+
+    ``rng`` is one Generator or a sequence of k per-block generators.
+    Block b owns rows ``[b * n, (b + 1) * n)`` with ``n = n_chains / k``
+    and draws all of its randomness from its own generator, in the same
+    order each step: the n coin flips, the Langevin noise of its
+    within-level rows, then the proposals and the acceptance uniforms of
+    its level-move rows. The arithmetic runs once on all rows, and each
+    row's result does not depend on the other rows, so one call with k
+    generators returns exactly the concatenated results (and the summed
+    stats) of k one-block calls.
+
+    Raises
+    ------
+    NonFiniteGradientError
+        When a Langevin update leaves a row non-finite (a step size far
+        beyond the target's curvature bound); the error carries the
+        point the update started from.
     """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if not rngs or n_chains % len(rngs):
+        raise ValueError("n_chains must split evenly over the block generators")
+    if proposal_mode not in _PROPOSAL_MODES:
+        raise ValueError(f"proposal_mode must be one of {_PROPOSAL_MODES}")
+    sizes = [n_chains // len(rngs)] * len(rngs)
     betas = np.asarray(betas, dtype=float)
     log_zhat = np.asarray(log_zhat, dtype=float)
     L = betas.shape[0]
@@ -267,36 +298,48 @@ def run_tempering_batch(
     K = max(1, round(params.T / params.eta))
     d = target.d
     root = math.sqrt(2.0 * params.eta)
-    x = rng.standard_normal((n_chains, d)) * math.sqrt(target.sigma2 / betas[0])
+    x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, d)))
+    x *= math.sqrt(target.sigma2 / betas[0])
     lev = np.zeros(n_chains, dtype=np.int64)
     grad_evals = 0
     for step in range(int(params.t)):
-        heads = rng.random(n_chains) < 0.5
-        idx1 = np.nonzero(heads)[0]
+        heads = _per_block(rngs, sizes, lambda g, c: g.random(c)) < 0.5
+        n_heads = np.count_nonzero(heads.reshape(len(rngs), -1), axis=1)
+        idx1 = np.flatnonzero(heads)
         if idx1.size:
+            # one (K, h, d) draw per block is its K successive (h, d) draws
+            noise = np.concatenate(
+                [g.standard_normal((K, h, d)) for g, h in zip(rngs, n_heads)], axis=1
+            )
+            noise *= root
             xs = x[idx1]
-            b = betas[lev[idx1]][:, None]
-            for _ in range(K):
-                _, g = target.f_and_grad(xs)
-                xs = xs - params.eta * b * g + root * rng.standard_normal(xs.shape)
+            eta_b = params.eta * betas[lev[idx1]][:, None]
+            for k in range(K):
+                _, grad = target.f_and_grad(xs)
+                moved = xs - eta_b * grad + noise[k]
+                if not np.isfinite(moved).all():
+                    bad = np.flatnonzero(~np.isfinite(moved).all(axis=1))[0]
+                    raise NonFiniteGradientError(xs[bad])
+                xs = moved
             x[idx1] = xs
             grad_evals += K * idx1.size
-        idx2 = np.nonzero(~heads)[0]
+        idx2 = np.flatnonzero(~heads)
         if idx2.size:
+            n_tails = sizes[0] - n_heads
             l2 = lev[idx2]
             if proposal_mode == "neighbor":
-                prop = l2 + np.where(rng.random(idx2.size) < 0.5, -1, 1)
+                flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
+                prop = l2 + np.where(flip < 0.5, -1, 1)
                 valid = (prop >= 0) & (prop < L)
-            elif proposal_mode == "uniform":
-                prop = rng.integers(0, L, idx2.size)
-                valid = np.ones(idx2.size, dtype=bool)
             else:
-                raise ValueError(f"proposal_mode must be one of {_PROPOSAL_MODES}")
+                prop = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
+                valid = np.ones(idx2.size, dtype=bool)
+            u = _per_block(rngs, n_tails, lambda g, c: g.random(c))
             propc = np.clip(prop, 0, L - 1)
             f_x = np.atleast_1d(target.f(x[idx2]))
             la = (betas[l2] - betas[propc]) * f_x + log_zhat[l2] - log_zhat[propc]
             # 1 - U lies in (0, 1], keeping the log finite
-            acc = valid & (np.log(1.0 - rng.random(idx2.size)) < la)
+            acc = valid & (np.log(1.0 - u) < la)
             if stats is not None:
                 np.add.at(stats["proposals"], (l2[valid], propc[valid]), 1)
                 np.add.at(stats["accepts"], (l2[acc], propc[acc]), 1)

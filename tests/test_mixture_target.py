@@ -216,3 +216,57 @@ def test_target_from_config_round_trip():
             {"weights": [1.0], "means": [[0.0]], "sigma2": 1.0,
              "perturbation": {"scale": 2.0}}
         )
+
+
+def _reference_f_grad(mix, pts):
+    """The energy and gradient by explicit differences x - mu_i."""
+    diff = pts[:, None, :] - mix.means[None, :, :]
+    a = np.log(mix.weights)[None, :] - (diff**2).sum(axis=2) / (2.0 * mix.sigma2)
+    top = a.max(axis=1)
+    e = np.exp(a - top[:, None])
+    resp = e / e.sum(axis=1, keepdims=True)
+    return -(top + np.log(e.sum(axis=1))), np.einsum("mn,mnd->md", resp, diff) / mix.sigma2
+
+
+def _generic_mixture(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return GaussianMixture(rng.dirichlet(np.ones(n)), 2.0 * rng.standard_normal((n, d)), 1.3)
+
+
+def test_kernel_matches_difference_formula():
+    mix = _generic_mixture(8, 10, 40)
+    pts = np.random.default_rng(41).uniform(-50.0, 50.0, size=(500, 10))
+    pts[:8] = mix.means
+    ref_f, ref_g = _reference_f_grad(mix, pts)
+    fv, g = mix.f_and_grad(pts)
+    np.testing.assert_allclose(fv, ref_f, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(mix.f(pts), ref_f, rtol=1e-12, atol=1e-12)
+
+    pert = PerturbedTarget(_generic_mixture(3, 2, 42), SinusoidalPerturbation(0.2, 1.5))
+    pts = np.random.default_rng(43).uniform(-50.0, 50.0, size=(500, 2))
+    ref_f, ref_g = _reference_f_grad(pert.base, pts)
+    ref_f = ref_f + pert.perturbation.value(pts)
+    ref_g = ref_g + pert.perturbation.grad(pts)
+    fv, g = pert.f_and_grad(pts)
+    np.testing.assert_allclose(fv, ref_f, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(pert.f(pts), ref_f, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 1), (8, 1), (3, 4), (8, 10)])
+def test_kernel_rows_do_not_depend_on_the_batch(n, d):
+    # the sampler evaluates a point together with different rows depending
+    # on how its blocks are grouped, so each row must come out bit for bit
+    # the same on its own and in any batch
+    mix = _generic_mixture(n, d, 44 + n + d)
+    pts = np.random.default_rng(45).uniform(-50.0, 50.0, size=(300, d))
+    fv, g = mix.f_and_grad(pts)
+    f_only = mix.f(pts)
+    for start in range(0, 40):
+        for rows in (1, 2, 3, 9):
+            sl = slice(start, start + rows)
+            fv_sub, g_sub = mix.f_and_grad(pts[sl])
+            np.testing.assert_array_equal(fv_sub, fv[sl])
+            np.testing.assert_array_equal(g_sub, g[sl])
+            np.testing.assert_array_equal(mix.f(pts[sl]), f_only[sl])

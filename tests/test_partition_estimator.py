@@ -8,6 +8,7 @@ from stlmc import (
     BoundViolationError,
     GaussianMixture,
     PartitionEstimates,
+    RetriesExhaustedError,
     RunParams,
     concentration_check,
     estimate_next_z,
@@ -18,6 +19,7 @@ from stlmc import (
     sample_exact,
     save_estimates,
 )
+from stlmc.partition_estimator import _collect_top
 
 
 class _NegativeEnergy:
@@ -111,6 +113,35 @@ def test_run_main_algorithm_worker_invariance(cheap):
     c = run_main_algorithm(cheap, params, n_samples=40, workers=2)
     np.testing.assert_array_equal(a.samples, c.samples)
     np.testing.assert_array_equal(a.estimates.log_zhat, c.estimates.log_zhat)
+
+
+def test_worker_invariance_with_several_groups(cheap):
+    # the final stage runs 10 blocks: groups of 8 + 2 with one worker, 5 + 5 with two
+    params = RunParams(eta=0.1, T=0.5, t=40, seed=22)
+    a = run_main_algorithm(cheap, params, n_samples=1000)
+    c = run_main_algorithm(cheap, params, n_samples=1000, workers=2)
+    assert a.stats["phases"][-1]["chains"] >= 10 * 512
+    np.testing.assert_array_equal(a.samples, c.samples)
+    np.testing.assert_array_equal(a.estimates.log_zhat, c.estimates.log_zhat)
+    for key in ("occupancy", "proposals", "accepts"):
+        np.testing.assert_array_equal(a.stats[key], c.stats[key])
+    assert a.stats["phases"] == c.stats["phases"]
+
+
+def test_round_budget_is_max_retries(cheap):
+    # every stage fills up in its first round, which must not count as failure
+    one_round = RunParams(eta=0.1, T=0.5, t=40, m=10, seed=3, max_retries=1)
+    res = run_main_algorithm(cheap, one_round, n_samples=10)
+    assert res.samples.shape == (10, 1)
+    assert all(p["chains"] == 512 for p in res.stats["phases"])
+    # a wildly wrong normalizer keeps every replica off the top level
+    betas = make_ladder(cheap).betas[:2]
+    params = RunParams(eta=0.1, T=0.5, t=10, seed=3, max_retries=2)
+    with pytest.raises(RetriesExhaustedError,
+                       match="0/10 top-level replicas after 2 rounds") as exc:
+        _collect_top(cheap, betas, np.array([0.0, 60.0]), 10, params, "neighbor", 2, 1)
+    assert exc.value.attempts == 2
+    assert exc.value.final_levels == {1: 2 * 512}
 
 
 def test_estimates_track_quadrature_over_seeds(cheap):

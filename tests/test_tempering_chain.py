@@ -7,6 +7,7 @@ from scipy.stats import chi2_contingency
 
 from stlmc import (
     GaussianMixture,
+    NonFiniteGradientError,
     RetriesExhaustedError,
     RunParams,
     TemperatureLadder,
@@ -236,6 +237,46 @@ def test_uniform_proposal_reaches_all_levels(cheap):
     )
     off = np.abs(np.subtract.outer(np.arange(ladder.L), np.arange(ladder.L)))
     assert stats["proposals"][off > 1].sum() > 0
+
+
+@pytest.mark.parametrize("mode", ["neighbor", "uniform"])
+@pytest.mark.parametrize("block", [1, 40])
+def test_batch_blocks_are_width_invariant(mode, block):
+    # generic means in d = 10: axis-aligned ones would hide summation-order
+    # differences; one-chain blocks give one-row Langevin batches
+    rng = np.random.default_rng(50)
+    target = GaussianMixture(rng.dirichlet(np.ones(4)), 2.0 * rng.standard_normal((4, 10)), 1.0)
+    betas = np.array([0.2, 0.45, 0.7, 1.0])
+    lz = np.array([0.0, -0.6, -1.1, -1.4])
+    params = RunParams(eta=0.1, T=0.5, t=30)
+
+    def gen(b):
+        return np.random.default_rng(np.random.SeedSequence(7, spawn_key=(b,)))
+
+    for k in (1, 3, 8):
+        wide_stats = new_batch_stats(4)
+        x, lev = run_tempering_batch(target, betas, lz, k * block, params,
+                                     [gen(b) for b in range(k)], mode, stats=wide_stats)
+        one_stats = new_batch_stats(4)
+        parts = [run_tempering_batch(target, betas, lz, block, params, gen(b), mode,
+                                     stats=one_stats) for b in range(k)]
+        np.testing.assert_array_equal(x, np.concatenate([p[0] for p in parts]))
+        np.testing.assert_array_equal(lev, np.concatenate([p[1] for p in parts]))
+        for key in ("proposals", "accepts", "occupancy"):
+            np.testing.assert_array_equal(wide_stats[key], one_stats[key])
+        assert wide_stats["grad_evals"] == one_stats["grad_evals"]
+        assert wide_stats["chains"] == one_stats["chains"] == k * block
+    with pytest.raises(ValueError, match="split evenly"):
+        run_tempering_batch(target, betas, lz, 10, params, [gen(0), gen(1), gen(2)], mode)
+
+
+def test_batch_divergence_raises_non_finite_gradient(cheap):
+    # far from the modes the update multiplies x by 1 - eta beta / sigma2 = -4
+    params = RunParams(eta=5.0, T=50.0, t=200)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteGradientError) as exc:
+        run_tempering_batch(cheap, [1.0], [0.0], 8, params, np.random.default_rng(0))
+    assert np.all(np.isfinite(exc.value.x))
 
 
 def test_write_trace_csv(tmp_path, desk):
