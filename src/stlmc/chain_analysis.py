@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eig_banded, eigh, expm
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -48,6 +48,10 @@ __all__ = [
     "random_reversible_chain",
     "random_partition",
 ]
+
+# Subsets per block of the exhaustive Cheeger search: the 0/1 membership
+# matrix of a block stays at a few MB for every n <= 20.
+_CHEEGER_CHUNK = 2**14
 
 
 def _closed_classes(P):
@@ -227,9 +231,13 @@ def conductance(chain: FiniteChain, subset) -> float:
 def cheeger_constant(chain: FiniteChain) -> float:
     """Minimum conductance over subsets with at most half the mass.
 
-    Exhaustive for n <= 20. Above that the value comes from sweep cuts
-    of the second eigenfunction, which only upper-bounds the true
-    constant; callers needing exactness should stay small.
+    Exhaustive for n <= 20: the subsets are enumerated as bitmasks in
+    blocks of ``_CHEEGER_CHUNK``, each block as a 0/1 membership matrix
+    B with masses ``B @ p`` and cuts summed from the non-negative terms
+    of ``(B @ Q) * (1 - B)``, so a disconnected chain gives exactly 0.
+    Above that the value comes from sweep cuts of the second
+    eigenfunction, which only upper-bounds the true constant; callers
+    needing exactness should stay small.
     """
     n = chain.n
     if n < 2:
@@ -238,13 +246,16 @@ def cheeger_constant(chain: FiniteChain) -> float:
     p = chain.p
     if n <= 20:
         best = math.inf
-        for mask in range(1, 2**n - 1):
-            idx = [i for i in range(n) if (mask >> i) & 1]
-            pS = p[idx].sum()
-            if pS > 0.5 + 1e-12:
-                continue
-            comp = [i for i in range(n) if not ((mask >> i) & 1)]
-            best = min(best, Q[np.ix_(idx, comp)].sum() / pS)
+        bits = np.arange(n)
+        for start in range(1, 2**n - 1, _CHEEGER_CHUNK):
+            masks = np.arange(start, min(start + _CHEEGER_CHUNK, 2**n - 1))
+            B = ((masks[:, None] >> bits) & 1).astype(float)
+            pS = B @ p
+            small = pS <= 0.5 + 1e-12
+            if small.any():
+                B = B[small]
+                cut = ((B @ Q) * (1.0 - B)).sum(axis=1)
+                best = min(best, float((cut / pS[small]).min()))
         return float(best)
     s = np.sqrt(p)
     A = (s[:, None] * chain.P) / s[None, :]
@@ -497,17 +508,27 @@ class DiscretizedGenerator:
     weights: np.ndarray
 
     def eigenvalues(self, k=None):
-        """Ascending eigenvalues of minus the generator."""
+        """Ascending eigenvalues of minus the generator, the k smallest or all.
+
+        The symmetrized matrix only has nonzeros within the grid-neighbor
+        band (width 1 in d = 1, n_cells in d = 2), so its lower band goes
+        to the direct banded LAPACK solver ``eig_banded``.
+        """
         s = np.sqrt(self.weights)
         A = (s[:, None] * (-self.generator)) / s[None, :]
         A = 0.5 * (A + A.T)
-        if k is None:
-            vals = eigh(A, eigvals_only=True)
-        else:
-            vals = eigh(A, eigvals_only=True, subset_by_index=[0, min(k, A.shape[0]) - 1])
+        n = A.shape[0]
+        rows, cols = np.nonzero(A)
+        u = int(np.abs(rows - cols).max(initial=0))
+        band = np.zeros((u + 1, n))
+        for off in range(u + 1):
+            band[off, :n - off] = np.diagonal(A, -off)
+        count = n if k is None else min(k, n)
+        vals = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                          select_range=(0, count - 1))
         if vals.min() < -1e-8:
             raise ValueError("generator spectrum unexpectedly negative")
-        return np.clip(np.sort(vals), 0.0, None)
+        return np.clip(vals, 0.0, None)
 
     def to_chain(self, T=1.0) -> FiniteChain:
         """Discrete-time chain exp(T * generator)."""
@@ -542,26 +563,16 @@ def discretize_langevin_generator(target, beta, R, n_cells) -> DiscretizedGenera
         grid = np.column_stack([xx.ravel(), yy.ravel()])
     logw = -beta * np.atleast_1d(target.f(grid))
     n = grid.shape[0]
-    Lgen = np.zeros((n, n))
-
-    def couple(i, j):
-        rate_ij = min(1.0, math.exp(min(logw[j] - logw[i], 0.0))) / h**2
-        rate_ji = min(1.0, math.exp(min(logw[i] - logw[j], 0.0))) / h**2
-        Lgen[i, j] = rate_ij
-        Lgen[j, i] = rate_ji
-
+    # grid-neighbor pairs (i, j): along the axis in d = 1, along x and y in d = 2
+    flat = np.arange(n).reshape((n_cells,) * d)
     if d == 1:
-        for i in range(n - 1):
-            couple(i, i + 1)
+        i, j = flat[:-1], flat[1:]
     else:
-        def flat(ix, iy):
-            return ix * n_cells + iy
-        for ix in range(n_cells):
-            for iy in range(n_cells):
-                if ix + 1 < n_cells:
-                    couple(flat(ix, iy), flat(ix + 1, iy))
-                if iy + 1 < n_cells:
-                    couple(flat(ix, iy), flat(ix, iy + 1))
+        i = np.concatenate([flat[:-1, :].ravel(), flat[:, :-1].ravel()])
+        j = np.concatenate([flat[1:, :].ravel(), flat[:, 1:].ravel()])
+    Lgen = np.zeros((n, n))
+    Lgen[i, j] = np.exp(np.minimum(logw[j] - logw[i], 0.0)) / h**2
+    Lgen[j, i] = np.exp(np.minimum(logw[i] - logw[j], 0.0)) / h**2
     np.fill_diagonal(Lgen, -Lgen.sum(axis=1))
     w = np.exp(logw - logw.max())
     w = w / w.sum()

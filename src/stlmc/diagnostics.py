@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .errors import BoundViolationError
@@ -150,8 +149,8 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     """Exact probability mass of the level-beta density in each bin.
 
     Plain mixtures at beta = 1 use the closed-form Gaussian cell masses;
-    otherwise 1D bins are integrated adaptively and 2D bins with a
-    12-point product Gauss-Legendre rule, normalized by the quadrature
+    otherwise every bin is integrated with a 12-point Gauss-Legendre
+    rule per axis (a product rule in 2D), normalized by the quadrature
     partition value.
     """
     if histogram.d != target.d:
@@ -167,21 +166,20 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
             return target.weights @ per_axis[0]
         return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
     log_z = log_partition_quadrature(target, beta)
-    if target.d == 1:
-        e = histogram.edges()
-        dens = lambda x: math.exp(-beta * float(target.f(x)) - log_z)
-        return np.array([
-            quad(dens, e[i], e[i + 1], limit=100)[0] for i in range(histogram.bins)
-        ])
     nodes, gl_w = np.polynomial.legendre.leggauss(12)
-    ex, ey = histogram.edges(0), histogram.edges(1)
-    hx, hy = ex[1] - ex[0], ey[1] - ey[0]
-    gx = (ex[:-1, None] + hx * (nodes[None, :] + 1.0) / 2.0).ravel()
-    gy = (ey[:-1, None] + hy * (nodes[None, :] + 1.0) / 2.0).ravel()
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    vals = np.exp(-beta * target.f(np.column_stack([xx.ravel(), yy.ravel()])) - log_z)
-    vals = vals.reshape(histogram.bins, 12, histogram.bins, 12)
-    return np.einsum("iajb,a,b->ij", vals, gl_w, gl_w) * (hx / 2.0) * (hy / 2.0)
+    axes = []
+    scale = 1.0
+    for axis in range(target.d):
+        e = histogram.edges(axis)
+        half = (e[1] - e[0]) / 2.0
+        axes.append((e[:-1, None] + half * (nodes[None, :] + 1.0)).ravel())
+        scale *= half
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, target.d)
+    vals = np.exp(-beta * target.f(pts) - log_z).reshape((histogram.bins, 12) * target.d)
+    # contract each bin's node axis with the weights, leaving one axis per dimension
+    for axis in range(1, target.d + 1):
+        vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
+    return vals * scale
 
 
 def _check_dist(v, name):

@@ -141,8 +141,8 @@ class GaussianMixture:
         _check_finite(pts)
         a = np.einsum("nd,md->nm", self._mu_scaled, pts)
         a += self._a_shift
-        # one logaddexp pass takes the fewest numpy calls for the single
-        # points of quadrature, and it adds in component order for any m
+        # one logaddexp pass takes the fewest numpy calls for single
+        # points, and it adds in component order for any m
         val = (np.einsum("md,md->m", pts, pts) / (2.0 * self.sigma2)
                - np.logaddexp.reduce(a, axis=0))
         return float(val[0]) if single else val

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import nquad, quad
+from scipy.integrate import cubature
 from scipy.special import logsumexp
 
 from .errors import BoundViolationError, RetriesExhaustedError
@@ -270,21 +270,22 @@ def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
 
 
 def log_partition_quadrature(target, beta) -> float:
-    """log of the normalizer of exp(-beta f), by adaptive quadrature.
+    """log of the normalizer of exp(-beta f), by adaptive cubature.
 
-    Integrates over the box [-(D + 8 sigma), D + 8 sigma]^d; available
-    for d <= 2 only.
+    Integrates over the box [-(D + 8 sigma), D + 8 sigma]^d with one
+    vectorized ``scipy.integrate.cubature`` call to relative tolerance
+    1e-10; available for d <= 2 only. Raises ``BoundViolationError``
+    when the error estimate does not reach the tolerance.
     """
-    R = target.D + 8.0 * math.sqrt(target.sigma2)
-    if target.d == 1:
-        val, _ = quad(lambda u: math.exp(-beta * target.f(np.array([u]))), -R, R, limit=200)
-    elif target.d == 2:
-        val, _ = nquad(
-            lambda u, v: math.exp(-beta * target.f(np.array([u, v]))),
-            [[-R, R], [-R, R]],
-        )
-    else:
+    if target.d > 2:
         raise ValueError("quadrature oracle supports d <= 2 only")
+    R = target.D + 8.0 * math.sqrt(target.sigma2)
+    rtol = 1e-10
+    res = cubature(lambda x: np.exp(-beta * target.f(x)),
+                   np.full(target.d, -R), np.full(target.d, R), rtol=rtol, atol=0.0)
+    val = float(res.estimate)
+    if res.status != "converged":
+        raise BoundViolationError("quadrature error estimate", float(res.error), rtol * abs(val))
     return math.log(val)
 
 

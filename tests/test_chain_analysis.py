@@ -1,8 +1,10 @@
 """Tests for the finite-chain spectral toolkit and the gap bounds it checks."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from stlmc import (
     BoundViolationError,
@@ -32,6 +34,7 @@ from stlmc import (
     tempering_gap_bound_check,
     z_ratio_bound_check,
 )
+from stlmc import chain_analysis
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -406,3 +409,104 @@ def test_random_generators():
     part = random_partition(6, 3, rng)
     part.validate_for(6)
     assert len(part.blocks) == 3
+
+
+def _brute_force_cheeger(chain):
+    # every proper subset with at most half the mass, through conductance()
+    best = math.inf
+    for size in range(1, chain.n):
+        for subset in itertools.combinations(range(chain.n), size):
+            if chain.p[list(subset)].sum() <= 0.5 + 1e-12:
+                best = min(best, conductance(chain, list(subset)))
+    return best
+
+
+def _two_cliques(n, eps):
+    # two halves with a uniform flow eps across; doubly stochastic, so p is
+    # uniform and the minimizing subsets carry exactly half the mass
+    half = n // 2
+    same = np.arange(n)[:, None] // half == np.arange(n)[None, :] // half
+    return FiniteChain(np.where(same, 1.0 - eps, eps) / half, stationary=np.full(n, 1.0 / n))
+
+
+def test_cheeger_matches_brute_force_random_chains():
+    rng = np.random.default_rng(23)
+    for n in range(2, 11):
+        for lazy in (0.0, 0.5):
+            chain = random_reversible_chain(n, rng, lazy=lazy)
+            assert cheeger_constant(chain) == pytest.approx(
+                _brute_force_cheeger(chain), rel=1e-12)
+
+
+def test_cheeger_chunks_cover_every_subset(monkeypatch):
+    # a block size that divides neither 2**n - 2 nor a power of two
+    monkeypatch.setattr(chain_analysis, "_CHEEGER_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    for n in (3, 6, 9):
+        chain = random_reversible_chain(n, rng)
+        assert cheeger_constant(chain) == pytest.approx(
+            _brute_force_cheeger(chain), rel=1e-12)
+
+
+def test_cheeger_keeps_exact_half_mass_subsets():
+    for n in (4, 10, 20):
+        chain = _two_cliques(n, 0.01)
+        if n <= 10:
+            assert _brute_force_cheeger(chain) == pytest.approx(0.01, rel=1e-12)
+        # n = 20 is the largest chain searched exhaustively
+        assert cheeger_constant(chain) == pytest.approx(0.01, rel=1e-12)
+        assert conductance(chain, np.arange(n // 2)) == pytest.approx(0.01, rel=1e-12)
+
+
+def _pairwise_generator(target, beta, R, n_cells):
+    # one neighbor pair at a time, as the rates are defined
+    gen = discretize_langevin_generator(target, beta, R, n_cells)
+    logw = -beta * np.atleast_1d(target.f(gen.grid))
+    n = gen.grid.shape[0]
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and np.isclose(np.abs(gen.grid[i] - gen.grid[j]).sum(), gen.h):
+                ref[i, j] = math.exp(min(logw[j] - logw[i], 0.0)) / gen.h**2
+    np.fill_diagonal(ref, -ref.sum(axis=1))
+    return gen.generator, ref
+
+
+def test_discretize_matches_pairwise_rates():
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
+    for target, R, cells in ((desk, 12.0, 60), (four, 12.0, 12)):
+        gen, ref = _pairwise_generator(target, 0.5, R, cells)
+        np.testing.assert_allclose(gen, ref, rtol=1e-14, atol=0.0)
+
+
+def test_generator_eigenvalues_match_dense_solver():
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
+    for target, R, cells in ((desk, 10.0, 300), (four, 9.0, 20)):
+        gen = discretize_langevin_generator(target, 1.0, R, cells)
+        s = np.sqrt(gen.weights)
+        A = (s[:, None] * (-gen.generator)) / s[None, :]
+        dense = eigh(0.5 * (A + A.T), eigvals_only=True)
+        for k in (6, None):
+            ev = gen.eigenvalues(k)
+            ref = dense if k is None else dense[:k]
+            assert ev.shape == ref.shape
+            assert abs(ev[0]) <= 1e-8
+            np.testing.assert_allclose(ev[1:], ref[1:], rtol=1e-9, atol=0.0)
+
+
+def test_cheeger_is_exactly_zero_on_disconnected_random_blocks():
+    # no flow between the blocks: the cut of a whole block is a sum of zeros
+    rng = np.random.default_rng(31)
+    for sizes in ((3, 4), (5, 6), (2, 9)):
+        blocks = [random_reversible_chain(k, rng) for k in sizes]
+        n = sum(sizes)
+        P = np.zeros((n, n))
+        start = 0
+        for b in blocks:
+            P[start:start + b.n, start:start + b.n] = b.P
+            start += b.n
+        mass = rng.uniform(0.2, 0.5)
+        p = np.concatenate([mass * blocks[0].p, (1.0 - mass) * blocks[1].p])
+        assert cheeger_constant(FiniteChain(P, stationary=p)) == 0.0

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from stlmc.diagnostics import (
     Histogram,
@@ -170,6 +171,20 @@ def test_exact_bin_masses_flattened_level(desk):
     assert flat[mid].sum() > sharp[mid].sum()
     with pytest.raises(ValueError, match="dimensions differ"):
         exact_bin_masses(GaussianMixture([1.0], [[0.0, 0.0]], 1.0), h)
+
+
+def test_exact_bin_masses_rule_matches_closed_form_at_low_beta():
+    # exp(-beta f) of one unit Gaussian is N(0, 1/beta): closed-form cells
+    beta = 0.5
+    for d, bins in ((1, 40), (2, 16)):
+        g = GaussianMixture([1.0], [[0.0] * d], 1.0)
+        lo, hi = default_box(g)
+        h = Histogram(lo, hi, bins, np.zeros((bins,) * d, dtype=np.int64), 0)
+        cells = np.diff(ndtr(h.edges() * math.sqrt(beta)))
+        expected = cells if d == 1 else np.outer(cells, cells)
+        masses = exact_bin_masses(g, h, beta=beta)
+        assert masses.shape == expected.shape
+        np.testing.assert_allclose(masses, expected, rtol=0.0, atol=1e-7)
 
 
 def test_chi_sq_divergence_values():

@@ -1,15 +1,20 @@
 """Tests for the inductive partition-function estimator and its oracles."""
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import nquad
 
 from stlmc import (
     BoundViolationError,
     GaussianMixture,
     PartitionEstimates,
+    PerturbedTarget,
     RetriesExhaustedError,
     RunParams,
+    SinusoidalPerturbation,
     concentration_check,
     estimate_next_z,
     load_estimates,
@@ -19,6 +24,8 @@ from stlmc import (
     sample_exact,
     save_estimates,
 )
+from stlmc import partition_estimator
+from stlmc.cli import main
 from stlmc.partition_estimator import _collect_top
 
 
@@ -213,6 +220,44 @@ def test_log_partition_quadrature_closed_form():
     g3 = GaussianMixture([1.0], [[0.0, 0.0, 0.0]], 1.0)
     with pytest.raises(ValueError, match="d <= 2"):
         log_partition_quadrature(g3, 1.0)
+
+
+def _nquad_log_partition(target, beta):
+    # scalar-callback reference over the oracle's box
+    R = target.D + 8.0 * math.sqrt(target.sigma2)
+    val, _ = nquad(lambda u, v: math.exp(-beta * target.f(np.array([u, v]))),
+                   [[-R, R], [-R, R]])
+    return math.log(val)
+
+
+def test_log_partition_quadrature_matches_nquad_reference():
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    bumpy = PerturbedTarget(four, SinusoidalPerturbation(0.2, 1.0))
+    for target in (four, bumpy):
+        for beta in (1.0, 0.3):
+            assert abs(log_partition_quadrature(target, beta)
+                       - _nquad_log_partition(target, beta)) <= 1e-9
+
+
+def test_log_partition_quadrature_raises_when_not_converged(monkeypatch, tmp_path, capsys):
+    def stalled(f, a, b, **kwargs):
+        return SimpleNamespace(estimate=np.array(2.5), error=np.array(0.1),
+                               status="not_converged")
+
+    monkeypatch.setattr(partition_estimator, "cubature", stalled)
+    with pytest.raises(BoundViolationError, match="quadrature") as exc:
+        log_partition_quadrature(GaussianMixture([1.0], [[0.0]], 1.0), 1.0)
+    assert exc.value.lhs == pytest.approx(0.1)
+    assert exc.value.rhs == pytest.approx(2.5e-10)
+    # the CLI reports it as a failed check, not as bad usage
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "target": {"weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0},
+        "run": {"eta": 0.1, "T": 0.5, "t": 80},
+    }))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "an"),
+                 "--cells", "50"]) == 1
+    assert "quadrature" in capsys.readouterr().err
 
 
 def test_save_load_estimates_round_trip(tmp_path, cheap):
