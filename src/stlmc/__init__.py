@@ -29,7 +29,6 @@ from .chain_analysis import (
     restrict,
     sce_envelope_1d,
     spectral_gap,
-    stationary,
     tempering_gap_bound_check,
     z_ratio_bound_check,
 )
@@ -66,10 +65,8 @@ from .mixture_target import (
     SinusoidalPerturbation,
     check_perturbation_bounds,
     close_to_sum_ratio,
-    grad_f,
     hessian_max_eig,
     locate_min,
-    log_density_negf,
     target_from_config,
 )
 from .partition_estimator import (
@@ -87,12 +84,9 @@ from .partition_estimator import (
 from .tempering_chain import (
     RunParams,
     TemperatureLadder,
-    TemperingState,
     make_ladder,
     run_stlmc,
     run_tempering_batch,
-    tempering_step,
-    type2_accept_prob,
     write_trace_csv,
 )
 from .verification import CheckResult, available_suites, run_suite, run_suites

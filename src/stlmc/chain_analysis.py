@@ -27,7 +27,6 @@ __all__ = [
     "FiniteChain",
     "Partition",
     "DiscretizedGenerator",
-    "stationary",
     "chain_eigenvalues",
     "spectral_gap",
     "mixing_rate",
@@ -165,11 +164,6 @@ class Partition:
     def is_refinement_of(self, coarser: "Partition") -> bool:
         sets = [set(b) for b in coarser.blocks]
         return all(any(set(b) <= s for s in sets) for b in self.blocks)
-
-
-def stationary(chain: FiniteChain):
-    """Stationary distribution of the chain."""
-    return chain.p.copy()
 
 
 def chain_eigenvalues(chain: FiniteChain):

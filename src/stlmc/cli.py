@@ -205,51 +205,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-class _UnequalScaleDemo:
-    """Two Gaussians with different widths (report-only comparison demo).
-
-    Sampler guarantees assume one shared variance, so tempering is
-    expected to degrade here; the comparison reports what happens.
-    """
-
-    def __init__(self):
-        self.weights = np.array([0.5, 0.5])
-        self.mus = np.array([-3.0, 3.0])
-        self.vars = np.array([1.0, 0.1])
-        self.d = 1
-        self.sigma2 = float(self.vars.min())
-        self.D = 3.0
-        self.w_min = 0.5
-        self.means = self.mus.reshape(-1, 1)
-
-    def _logits(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-        diff = x[:, None] - self.mus[None, :]
-        a = (np.log(self.weights) - 0.5 * np.log(2 * np.pi * self.vars)
-             - diff**2 / (2 * self.vars))
-        return x, diff, a
-
-    def f(self, x):
-        _, _, a = self._logits(x)
-        m = a.max(axis=1)
-        out = -(m + np.log(np.exp(a - m[:, None]).sum(axis=1)))
-        return out if out.size > 1 else float(out[0])
-
-    def f_and_grad(self, x):
-        xs, diff, a = self._logits(x)
-        m = a.max(axis=1, keepdims=True)
-        e = np.exp(a - m)
-        resp = e / e.sum(axis=1, keepdims=True)
-        grad = (resp * diff / self.vars).sum(axis=1)
-        fv = -(m[:, 0] + np.log(e.sum(axis=1)))
-        if np.asarray(x).ndim == 2:
-            return fv, grad.reshape(-1, 1)
-        return (float(fv[0]), grad.reshape(np.asarray(x).shape))
-
-    def grad(self, x):
-        return self.f_and_grad(x)[1]
-
-
 def _matched_langevin(target, params, n_chains, grad_budget, start, rng):
     """Plain level-1.0 chains from ``start`` burning the same gradient count."""
     steps = max(1, grad_budget // n_chains)
@@ -259,7 +214,7 @@ def _matched_langevin(target, params, n_chains, grad_budget, start, rng):
 
 
 def _compare_scenario(label, target, params, mode, workers, n_samples, radius,
-                      bins, rows, c1=1.0, c2=1.0):
+                      bins, rows, c1, c2):
     try:
         result = run_main_algorithm(target, params, n_samples=n_samples,
                                     proposal_mode=mode, workers=workers,
@@ -301,13 +256,6 @@ def cmd_compare(args) -> int:
     rows = []
     _compare_scenario("standard", target, params, mode, workers, n_samples,
                       radius, args.bins, rows, c1=c1, c2=c2)
-    if not args.skip_demo:
-        demo = _UnequalScaleDemo()
-        demo_params = RunParams(eta=0.02, T=0.5, t=params.t, m=params.m,
-                                seed=params.seed, max_retries=params.max_retries)
-        _compare_scenario("unequal-covariance (report only)", demo, demo_params,
-                          mode, workers, min(n_samples, 500), radius, args.bins,
-                          rows, c1=10.0, c2=10.0)
 
     lines = ["# stlmc compare v1"]
     for label, method, desc in rows:
@@ -450,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="tempering vs plain Langevin at matched budget")
     add_common(p, True)
     p.add_argument("--n-samples", type=int, dest="n_samples")
-    p.add_argument("--skip-demo", action="store_true",
-                   help="skip the unequal-covariance demo scenario")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("estimate-z", help="estimate normalizers only")

@@ -38,7 +38,8 @@ class RetriesExhaustedError(RuntimeError):
     """A sampling run never ended at the top temperature level.
 
     ``attempts`` is the number of restarts used; ``final_levels`` maps
-    each final level reached to the number of attempts that ended there.
+    each final level reached, numbered from 1, to the number of attempts
+    that ended there.
     """
 
     def __init__(self, attempts, final_levels, message=None):

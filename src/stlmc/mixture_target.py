@@ -28,8 +28,6 @@ __all__ = [
     "GaussianMixture",
     "PerturbedTarget",
     "SinusoidalPerturbation",
-    "log_density_negf",
-    "grad_f",
     "locate_min",
     "hessian_max_eig",
     "close_to_sum_ratio",
@@ -273,16 +271,6 @@ class PerturbedTarget:
         if single:
             return float(fv[0]), g[0]
         return fv, g
-
-
-def log_density_negf(target, x):
-    """Energy f(x) of the target (the negative log-density up to a constant)."""
-    return target.f(x)
-
-
-def grad_f(target, x):
-    """Gradient of the target energy at x."""
-    return target.grad(x)
 
 
 def locate_min(target, step=None, max_iter=10_000, tol=1e-8):

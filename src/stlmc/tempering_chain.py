@@ -4,16 +4,20 @@ Each step flips a fair coin. Heads runs one Langevin macro-step at the
 current level's inverse temperature (a within-level move); tails
 proposes a level change and accepts it with the Metropolis ratio
 ``min(1, exp((beta_k - beta_k') f(x) + log zhat_k - log zhat_k'))``.
-Levels are numbered 1..L with beta_L = 1, so an accepted run ends at
-the true target temperature.
+Levels are 0-based indices into the ladder, with the top level L - 1 at
+beta = 1, so an accepted run ends at the true target temperature; only
+the trace file, the CLI summary and ``RetriesExhaustedError`` print
+them 1-based.
 
-``run_stlmc`` drives one chain and records a full trace;
-``run_tempering_batch`` advances many independent replicas at once,
-gathering the rows that drew a within-level move so the gradient loop
-only touches active chains. Its rows may form several blocks, each
-drawing from its own generator: the arithmetic runs once on all rows,
-and each block's results are the same as if it ran alone, so callers
-choose the width of a call apart from how its randomness is split.
+One step function, ``_chain_step``, advances rows of chains and
+serves both drivers. ``run_tempering_batch`` advances many independent
+replicas at once, gathering the rows that drew a within-level move so
+the gradient loop only touches active chains. Its rows may form several
+blocks, each drawing from its own generator: the arithmetic runs once on
+all rows, and each block's results are the same as if it ran alone, so
+callers choose the width of a call apart from how its randomness is
+split. ``run_stlmc`` runs restarting attempts as the rows of such a
+batch and records the trace of the chain that reaches the top.
 """
 from __future__ import annotations
 
@@ -23,15 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteGradientError, RetriesExhaustedError
-from .langevin_kernel import LangevinParams, check_step_size, run_macro_step
+from .langevin_kernel import LangevinParams, check_step_size
 
 __all__ = [
     "TemperatureLadder",
-    "TemperingState",
     "RunParams",
     "make_ladder",
-    "type2_accept_prob",
-    "tempering_step",
     "run_stlmc",
     "run_tempering_batch",
     "new_batch_stats",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 _PROPOSAL_MODES = ("uniform", "neighbor")
+# most attempts run_stlmc puts in one batch, bounding its recorded history
+_TRACE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,6 @@ class TemperatureLadder:
     def r(self) -> float:
         """Weight imbalance min(r_i) / max(r_i)."""
         return float(self.rel_weights.min() / self.rel_weights.max())
-
-
-@dataclass
-class TemperingState:
-    """Current point and 1-based level index."""
-
-    x: np.ndarray
-    level: int
 
 
 @dataclass(frozen=True)
@@ -148,82 +143,6 @@ def make_ladder(target, c1=1.0, c2=1.0, proposal_mode="neighbor") -> Temperature
     )
 
 
-def type2_accept_prob(f_x, k, k_prime, ladder: TemperatureLadder, log_zhat) -> float:
-    """Metropolis acceptance probability for a level move k -> k_prime.
-
-    Levels are 1-based; ``log_zhat`` holds the running log partition
-    estimates, one per level.
-    """
-    log_zhat = np.asarray(log_zhat, dtype=float)
-    la = (
-        (ladder.betas[k - 1] - ladder.betas[k_prime - 1]) * f_x
-        + log_zhat[k - 1]
-        - log_zhat[k_prime - 1]
-    )
-    return float(math.exp(min(la, 0.0)))
-
-
-def _step_with_info(state, target, ladder, log_zhat, params, rng):
-    L = ladder.L
-    if rng.random() < 0.5:
-        lp = LangevinParams(params.eta, params.T, ladder.betas[state.level - 1])
-        x = run_macro_step(target, lp, state.x, rng)
-        return TemperingState(x, state.level), 1, 1
-    if ladder.proposal_mode == "uniform":
-        k_prime = int(rng.integers(1, L + 1))
-    else:
-        k_prime = state.level + (-1 if rng.random() < 0.5 else 1)
-        if not (1 <= k_prime <= L):
-            return state, 2, 0
-    a = type2_accept_prob(target.f(state.x), state.level, k_prime, ladder, log_zhat)
-    if rng.random() < a:
-        return TemperingState(state.x, k_prime), 2, 1
-    return state, 2, 0
-
-
-def tempering_step(state, target, ladder, log_zhat, params, rng) -> TemperingState:
-    """Advance the chain one step (coin, then within-level or level move)."""
-    new_state, _, _ = _step_with_info(state, target, ladder, log_zhat, params, rng)
-    return new_state
-
-
-def run_stlmc(target, ladder, log_zhat, params, rng):
-    """Run one tempering chain and return (sample, trace).
-
-    The chain starts at level 1 from ``N(0, (sigma2 / beta_1) I)`` and
-    runs ``params.t`` steps. The endpoint is returned only when the
-    final level is the top one; otherwise the run restarts, up to
-    ``params.max_retries`` attempts. The trace lists one row per step
-    across all attempts: (step, level, move_type, accepted, x...).
-
-    Raises
-    ------
-    RetriesExhaustedError
-        When every attempt ends below the top level; the error carries
-        the attempt count and a histogram of final levels.
-    """
-    check_step_size(LangevinParams(params.eta, params.T), target)
-    log_zhat = np.asarray(log_zhat, dtype=float)
-    if log_zhat.shape != (ladder.L,):
-        raise ValueError("log_zhat must provide one entry per ladder level")
-    scale = math.sqrt(target.sigma2 / ladder.betas[0])
-    trace = []
-    step_no = 0
-    final_levels: dict[int, int] = {}
-    for _attempt in range(params.max_retries):
-        state = TemperingState(scale * rng.standard_normal(target.d), 1)
-        for _ in range(int(params.t)):
-            state, move_type, accepted = _step_with_info(
-                state, target, ladder, log_zhat, params, rng
-            )
-            step_no += 1
-            trace.append((step_no, state.level, move_type, accepted, *state.x))
-        if state.level == ladder.L:
-            return state.x, trace
-        final_levels[state.level] = final_levels.get(state.level, 0) + 1
-    raise RetriesExhaustedError(params.max_retries, final_levels)
-
-
 def new_batch_stats(L: int) -> dict:
     return {
         "proposals": np.zeros((L, L), dtype=np.int64),
@@ -247,6 +166,75 @@ def _per_block(rngs, counts, draw):
     return np.concatenate([draw(g, c) for g, c in zip(rngs, counts)])
 
 
+def _level_log_ratio(f_x, k, k_prime, betas, log_zhat):
+    """Log Metropolis ratio of the level moves k -> k_prime at energies f_x.
+
+    Levels are 0-based indices into ``betas`` and ``log_zhat``; the move
+    is accepted with probability ``min(1, exp(ratio))``.
+    """
+    return (betas[k] - betas[k_prime]) * f_x + log_zhat[k] - log_zhat[k_prime]
+
+
+def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
+                proposal_mode, stats=None):
+    """Advance every row of (x, lev) by one tempering step, in place.
+
+    Rows form blocks of ``sizes`` rows, block b drawing from ``rngs[b]``
+    in the order ``run_tempering_batch`` documents. Proposal, acceptance
+    and gradient-evaluation counts go into ``stats`` when it is given.
+    Returns two row masks: ``heads`` (the row made a within-level move)
+    and ``accepted`` (the row's level move was taken).
+    """
+    K = max(1, round(params.T / params.eta))
+    d = x.shape[1]
+    L = betas.shape[0]
+    heads = _per_block(rngs, sizes, lambda g, c: g.random(c)) < 0.5
+    accepted = np.zeros(heads.shape, dtype=bool)
+    n_heads = np.count_nonzero(heads.reshape(len(rngs), -1), axis=1)
+    idx1 = np.flatnonzero(heads)
+    if idx1.size:
+        # one (K, h, d) draw per block is its K successive (h, d) draws
+        noise = np.concatenate(
+            [g.standard_normal((K, h, d)) for g, h in zip(rngs, n_heads)], axis=1
+        )
+        noise *= math.sqrt(2.0 * params.eta)
+        xs = x[idx1]
+        eta_b = params.eta * betas[lev[idx1]][:, None]
+        for k in range(K):
+            _, grad = target.f_and_grad(xs)
+            moved = xs - eta_b * grad + noise[k]
+            if not np.isfinite(moved).all():
+                bad = np.flatnonzero(~np.isfinite(moved).all(axis=1))[0]
+                raise NonFiniteGradientError(xs[bad])
+            xs = moved
+        x[idx1] = xs
+        if stats is not None:
+            stats["grad_evals"] += K * idx1.size
+    idx2 = np.flatnonzero(~heads)
+    if idx2.size:
+        n_tails = sizes[0] - n_heads
+        l2 = lev[idx2]
+        if proposal_mode == "neighbor":
+            flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
+            prop = l2 + np.where(flip < 0.5, -1, 1)
+            valid = (prop >= 0) & (prop < L)
+        else:
+            prop = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
+            valid = np.ones(idx2.size, dtype=bool)
+        u = _per_block(rngs, n_tails, lambda g, c: g.random(c))
+        propc = np.clip(prop, 0, L - 1)
+        f_x = np.atleast_1d(target.f(x[idx2]))
+        la = _level_log_ratio(f_x, l2, propc, betas, log_zhat)
+        # 1 - U lies in (0, 1], keeping the log finite
+        acc = valid & (np.log(1.0 - u) < la)
+        if stats is not None:
+            np.add.at(stats["proposals"], (l2[valid], propc[valid]), 1)
+            np.add.at(stats["accepts"], (l2[acc], propc[acc]), 1)
+        lev[idx2] = np.where(acc, propc, l2)
+        accepted[idx2] = acc
+    return heads, accepted
+
+
 def run_tempering_batch(
     target,
     betas,
@@ -260,10 +248,10 @@ def run_tempering_batch(
 ):
     """Advance n_chains independent tempering replicas for params.t steps.
 
-    ``betas`` may be any ladder prefix; levels here are 0-based row
-    indices into it. Returns the final points (n_chains, d) and final
-    levels (n_chains,). When a ``stats`` dict from ``new_batch_stats``
-    is passed, per-pair proposal/acceptance counts, per-step level
+    ``betas`` may be any ladder prefix; levels are 0-based row indices
+    into it. Returns the final points (n_chains, d) and final levels
+    (n_chains,). When a ``stats`` dict from ``new_batch_stats`` is
+    passed, per-pair proposal/acceptance counts, per-step level
     occupancy (from ``occupancy_burn_in`` on) and the gradient-evaluation
     count are accumulated into it.
 
@@ -295,61 +283,79 @@ def run_tempering_batch(
     L = betas.shape[0]
     if log_zhat.shape[0] != L:
         raise ValueError("log_zhat must match betas in length")
-    K = max(1, round(params.T / params.eta))
-    d = target.d
-    root = math.sqrt(2.0 * params.eta)
-    x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, d)))
+    x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, target.d)))
     x *= math.sqrt(target.sigma2 / betas[0])
     lev = np.zeros(n_chains, dtype=np.int64)
-    grad_evals = 0
     for step in range(int(params.t)):
-        heads = _per_block(rngs, sizes, lambda g, c: g.random(c)) < 0.5
-        n_heads = np.count_nonzero(heads.reshape(len(rngs), -1), axis=1)
-        idx1 = np.flatnonzero(heads)
-        if idx1.size:
-            # one (K, h, d) draw per block is its K successive (h, d) draws
-            noise = np.concatenate(
-                [g.standard_normal((K, h, d)) for g, h in zip(rngs, n_heads)], axis=1
-            )
-            noise *= root
-            xs = x[idx1]
-            eta_b = params.eta * betas[lev[idx1]][:, None]
-            for k in range(K):
-                _, grad = target.f_and_grad(xs)
-                moved = xs - eta_b * grad + noise[k]
-                if not np.isfinite(moved).all():
-                    bad = np.flatnonzero(~np.isfinite(moved).all(axis=1))[0]
-                    raise NonFiniteGradientError(xs[bad])
-                xs = moved
-            x[idx1] = xs
-            grad_evals += K * idx1.size
-        idx2 = np.flatnonzero(~heads)
-        if idx2.size:
-            n_tails = sizes[0] - n_heads
-            l2 = lev[idx2]
-            if proposal_mode == "neighbor":
-                flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
-                prop = l2 + np.where(flip < 0.5, -1, 1)
-                valid = (prop >= 0) & (prop < L)
-            else:
-                prop = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
-                valid = np.ones(idx2.size, dtype=bool)
-            u = _per_block(rngs, n_tails, lambda g, c: g.random(c))
-            propc = np.clip(prop, 0, L - 1)
-            f_x = np.atleast_1d(target.f(x[idx2]))
-            la = (betas[l2] - betas[propc]) * f_x + log_zhat[l2] - log_zhat[propc]
-            # 1 - U lies in (0, 1], keeping the log finite
-            acc = valid & (np.log(1.0 - u) < la)
-            if stats is not None:
-                np.add.at(stats["proposals"], (l2[valid], propc[valid]), 1)
-                np.add.at(stats["accepts"], (l2[acc], propc[acc]), 1)
-            lev[idx2] = np.where(acc, propc, l2)
+        _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
+                    proposal_mode, stats)
         if stats is not None and step >= occupancy_burn_in:
             stats["occupancy"] += np.bincount(lev, minlength=L)
     if stats is not None:
-        stats["grad_evals"] += grad_evals
         stats["chains"] += n_chains
     return x, lev
+
+
+def run_stlmc(target, ladder, log_zhat, params, rng):
+    """Restart the tempering chain until it ends at the top; return (sample, trace).
+
+    Each attempt starts at level 1 from ``N(0, (sigma2 / beta_1) I)``
+    and runs ``params.t`` steps; the sample is the endpoint of the first
+    attempt that ends at the top level, out of ``params.max_retries``.
+    The attempts run as the rows of engine batches of at most
+    ``_TRACE_ROWS`` rows, all drawing from ``rng``, and the first row in
+    row order that ends at the top is returned. Attempts are i.i.d., so
+    this has the law of retrying one attempt at a time. The trace lists
+    one row per step of that attempt and of every attempt before it:
+    (step, level, move_type, accepted, x...), with steps numbered
+    1, 2, ... across attempts, levels 1-based, move type 1 (within
+    level) or 2 (level move) and accepted 1 for every within-level move.
+
+    Raises
+    ------
+    RetriesExhaustedError
+        When every attempt ends below the top level; the error carries
+        the attempt count and a histogram of 1-based final levels.
+    """
+    check_step_size(LangevinParams(params.eta, params.T), target)
+    log_zhat = np.asarray(log_zhat, dtype=float)
+    if log_zhat.shape != (ladder.L,):
+        raise ValueError("log_zhat must provide one entry per ladder level")
+    betas = ladder.betas
+    t = int(params.t)
+    d = target.d
+    trace = []
+    final_levels: dict[int, int] = {}
+    done = 0
+    while done < params.max_retries:
+        n = min(_TRACE_ROWS, params.max_retries - done)
+        x = rng.standard_normal((n, d))
+        x *= math.sqrt(target.sigma2 / betas[0])
+        lev = np.zeros(n, dtype=np.int64)
+        moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
+        path = np.empty((t, n, d))
+        for step in range(t):
+            heads, accepted = _chain_step(target, x, lev, betas, log_zhat, params,
+                                          [rng], [n], ladder.proposal_mode)
+            moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
+            path[step] = x
+        top = np.flatnonzero(lev == ladder.L - 1)
+        rows = top[0] + 1 if top.size else n
+        trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
+        if top.size:
+            return x[top[0]], trace
+        for level, count in zip(*np.unique(lev + 1, return_counts=True)):
+            final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
+        done += n
+    raise RetriesExhaustedError(params.max_retries, final_levels)
+
+
+def _trace_rows(first_step, moves, path):
+    """Trace tuples of (t, rows, .) step histories, attempt after attempt."""
+    moves = moves.transpose(1, 0, 2).reshape(-1, 3)
+    path = path.transpose(1, 0, 2).reshape(moves.shape[0], -1)
+    steps = first_step + np.arange(moves.shape[0])
+    return [(s, *m, *p) for s, m, p in zip(steps.tolist(), moves.tolist(), path.tolist())]
 
 
 def write_trace_csv(path, trace, d: int) -> None:

@@ -30,7 +30,6 @@ from stlmc import (
     restrict,
     sce_envelope_1d,
     spectral_gap,
-    stationary,
     tempering_gap_bound_check,
     z_ratio_bound_check,
 )
@@ -42,7 +41,6 @@ TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
 def test_two_state_oracle():
     chain = FiniteChain(TWO_STATE)
     np.testing.assert_allclose(chain.p, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
-    np.testing.assert_allclose(stationary(chain), chain.p)
     assert chain.reversible
     np.testing.assert_allclose(chain_eigenvalues(chain), [0.0, 0.3], atol=1e-12)
     assert spectral_gap(chain) == pytest.approx(0.3)

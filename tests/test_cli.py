@@ -156,7 +156,7 @@ def test_compare_writes_both_methods(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", str(cfg), "--out", str(out),
-                 "--skip-demo", "--n-samples", "150"]) == 0
+                 "--n-samples", "150"]) == 0
     report = (out / "compare.txt").read_text()
     assert report.startswith("# stlmc compare v1")
     assert "tempering" in report

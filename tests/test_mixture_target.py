@@ -13,10 +13,8 @@ from stlmc import (
     SinusoidalPerturbation,
     check_perturbation_bounds,
     close_to_sum_ratio,
-    grad_f,
     hessian_max_eig,
     locate_min,
-    log_density_negf,
     target_from_config,
 )
 
@@ -104,12 +102,6 @@ def test_gradient_matches_finite_differences(x1, x2):
         e[j] = h
         fd = (mix.f(x + e) - mix.f(x - e)) / (2.0 * h)
         assert g[j] == pytest.approx(fd, abs=5e-5)
-
-
-def test_module_level_helpers(desk):
-    x = np.array([1.2])
-    assert log_density_negf(desk, x) == pytest.approx(desk.f(x))
-    np.testing.assert_allclose(grad_f(desk, x), desk.grad(x))
 
 
 def test_close_to_sum_ratio_bounds(desk):

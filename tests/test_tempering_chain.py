@@ -11,16 +11,13 @@ from stlmc import (
     RetriesExhaustedError,
     RunParams,
     TemperatureLadder,
-    TemperingState,
     log_partition_quadrature,
     make_ladder,
     run_stlmc,
     run_tempering_batch,
-    tempering_step,
-    type2_accept_prob,
     write_trace_csv,
 )
-from stlmc.tempering_chain import merge_batch_stats, new_batch_stats
+from stlmc.tempering_chain import _level_log_ratio, merge_batch_stats, new_batch_stats
 
 
 def test_make_ladder_desk_closed_form(desk):
@@ -77,61 +74,64 @@ def test_ladder_validation():
 
 
 def test_type2_accept_prob_values():
-    ladder = TemperatureLadder(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
-    assert type2_accept_prob(3.7, 1, 1, ladder, np.zeros(2)) == 1.0
-    assert type2_accept_prob(0.0, 1, 2, ladder, np.zeros(2)) == 1.0
-    assert type2_accept_prob(2.0, 1, 2, ladder, np.zeros(2)) == pytest.approx(
-        math.exp(-1.0), rel=1e-12
-    )
-    # moving toward a flatter level is always accepted
-    assert type2_accept_prob(2.0, 2, 1, ladder, np.zeros(2)) == 1.0
+    betas = np.array([0.5, 1.0])
+    f_x = np.array([3.7, 0.0, 2.0, 2.0])
+    k = np.array([0, 0, 0, 1])
+    k_prime = np.array([0, 1, 1, 0])
+    la = _level_log_ratio(f_x, k, k_prime, betas, np.zeros(2))
+    np.testing.assert_allclose(la, [0.0, 0.0, -1.0, 1.0], rtol=1e-12)
+    # a stay, a move at zero energy and a move toward a flatter level are
+    # always accepted; up the ladder at f = 2 the chance is e^-1
+    np.testing.assert_allclose(np.exp(np.minimum(la, 0.0)),
+                               [1.0, 1.0, math.exp(-1.0), 1.0], rtol=1e-12)
 
 
 def test_type2_detailed_balance_ratio():
     # min(1, e^a) / min(1, e^-a) = e^a for every a, which is exactly the
     # flow-balance identity for the level move at fixed x
     betas = np.array([0.2, 0.55, 1.0])
-    ladder = TemperatureLadder(betas, np.full(3, 1 / 3))
     lz = np.array([0.0, -0.8, -1.3])
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        f_x = float(rng.uniform(0.0, 8.0))
-        k, kp = rng.choice([1, 2, 3], size=2, replace=False)
-        fwd = type2_accept_prob(f_x, int(k), int(kp), ladder, lz)
-        bwd = type2_accept_prob(f_x, int(kp), int(k), ladder, lz)
-        log_flow = (betas[k - 1] - betas[kp - 1]) * f_x + lz[k - 1] - lz[kp - 1]
-        assert math.log(fwd) - math.log(bwd) == pytest.approx(log_flow, abs=1e-10)
+    f_x = rng.uniform(0.0, 8.0, 50)
+    k, kp = np.array([rng.choice(3, size=2, replace=False) for _ in range(50)]).T
+    fwd = _level_log_ratio(f_x, k, kp, betas, lz)
+    bwd = _level_log_ratio(f_x, kp, k, betas, lz)
+    np.testing.assert_allclose(fwd, -bwd, rtol=0, atol=1e-12)
+    log_flow = (betas[k] - betas[kp]) * f_x + lz[k] - lz[kp]
+    np.testing.assert_allclose(fwd, log_flow, rtol=0, atol=1e-10)
+    accept = np.exp(np.minimum(fwd, 0.0)), np.exp(np.minimum(bwd, 0.0))
+    np.testing.assert_allclose(np.log(accept[0]) - np.log(accept[1]), log_flow, atol=1e-10)
 
 
-def test_tempering_step_single_level_is_pure_langevin():
+def test_single_level_batch_is_pure_langevin():
     single = GaussianMixture([1.0], [[0.0]], 1.0)
-    ladder = TemperatureLadder(np.array([1.0]), np.array([1.0]))
-    params = RunParams(eta=0.1, T=0.5, t=1)
-    rng = np.random.default_rng(0)
-    state = TemperingState(np.array([2.0]), 1)
-    moved = 0
-    for _ in range(40):
-        state = tempering_step(state, single, ladder, np.zeros(1), params, rng)
-        assert state.level == 1
-        moved += int(state.x[0] != 2.0)
-    assert moved > 0
+    params = RunParams(eta=0.1, T=0.5, t=40)
+    stats = new_batch_stats(1)
+    x, lev = run_tempering_batch(single, [1.0], [0.0], 8, params,
+                                 np.random.default_rng(0), stats=stats)
+    # the engine's first draw is the (8, 1) start at scale sqrt(sigma2 / beta) = 1
+    x0 = np.random.default_rng(0).standard_normal((8, 1))
+    assert np.all(lev == 0)
+    assert np.all(x != x0)
+    assert stats["proposals"].sum() == stats["accepts"].sum() == 0
+    assert stats["occupancy"].tolist() == [8 * 40]
+    assert stats["grad_evals"] > 0
 
 
 def test_level_flip_rate_with_frozen_point():
-    # with x pinned near a zero-energy point every proposed flip is
-    # accepted, so the two-level neighbor chain flips with probability
+    # x barely moves (eta = 1e-8) and the two betas are 1e-12 apart, so the
+    # level-move log ratio is about -1e-12 f(x) and every proposed flip is
+    # accepted: the two-level neighbor chain flips with probability
     # 1/2 (type-2 coin) * 1/2 (direction) = 1/4
     single = GaussianMixture([1.0], [[0.0]], 1.0)
-    ladder = TemperatureLadder(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
-    params = RunParams(eta=1e-8, T=1e-7, t=1)
-    rng = np.random.default_rng(2)
-    state = TemperingState(np.zeros(1), 1)
-    flips = 0
-    n_steps = 4000
-    for _ in range(n_steps):
-        new = tempering_step(state, single, ladder, np.zeros(2), params, rng)
-        flips += int(new.level != state.level)
-        state = new
+    params = RunParams(eta=1e-8, T=1e-7, t=10)
+    stats = new_batch_stats(2)
+    n_chains = 400
+    run_tempering_batch(single, [1.0 - 1e-12, 1.0], np.zeros(2), n_chains, params,
+                        np.random.default_rng(2), stats=stats)
+    n_steps = n_chains * params.t
+    flips = stats["accepts"].sum()
+    np.testing.assert_array_equal(stats["accepts"], stats["proposals"])
     se = math.sqrt(0.25 * 0.75 / n_steps)
     assert abs(flips / n_steps - 0.25) <= 3.0 * se + 1e-3
 
@@ -161,11 +161,55 @@ def test_run_stlmc_retries_exhausted():
     assert exc.value.final_levels == {1: 4}
 
 
+def test_run_stlmc_retries_exhausted_across_batches(monkeypatch):
+    # four attempts in batches of at most three rows: the final-level
+    # histogram adds up over the batches
+    monkeypatch.setattr("stlmc.tempering_chain._TRACE_ROWS", 3)
+    desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
+    ladder = TemperatureLadder(np.array([1.0 / 9.0, 1.0]), np.array([0.5, 0.5]))
+    params = RunParams(eta=0.1, T=0.5, t=10, max_retries=4)
+    with pytest.raises(RetriesExhaustedError) as exc:
+        run_stlmc(desk, ladder, np.array([0.0, 60.0]), params, np.random.default_rng(0))
+    assert exc.value.attempts == 4
+    assert exc.value.final_levels == {1: 4}
+
+
 def test_run_stlmc_validates_log_zhat_length(desk):
     ladder = make_ladder(desk)
     params = RunParams(eta=0.1, T=0.5, t=5)
     with pytest.raises(ValueError, match="one entry per ladder level"):
         run_stlmc(desk, ladder, np.zeros(3), params, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("batch_rows", [512, 2])
+def test_run_stlmc_trace_is_consecutive_attempts(cheap, monkeypatch, batch_rows):
+    # batch_rows = 2 spreads the attempts over several engine batches
+    monkeypatch.setattr("stlmc.tempering_chain._TRACE_ROWS", batch_rows)
+    ladder = make_ladder(cheap)
+    L = ladder.L
+    params = RunParams(eta=0.1, T=0.5, t=20)
+    attempts = []
+    for seed in range(6):
+        x, trace = run_stlmc(cheap, ladder, np.zeros(L), params, np.random.default_rng(seed))
+        assert [row[0] for row in trace] == list(range(1, len(trace) + 1))
+        assert len(trace) % params.t == 0
+        ends = trace[params.t - 1::params.t]
+        assert all(row[1] < L for row in ends[:-1])
+        assert ends[-1][1] == L
+        np.testing.assert_array_equal(x, ends[-1][4:])
+        for prev, row in zip(trace, trace[1:]):
+            if row[0] % params.t == 1:
+                continue  # a new attempt starts from a fresh point at level 1
+            if row[2] == 2:
+                assert row[4:] == prev[4:]
+                assert (row[1] != prev[1]) == bool(row[3])
+            else:
+                assert row[1] == prev[1] and row[3] == 1
+        x2, trace2 = run_stlmc(cheap, ladder, np.zeros(L), params, np.random.default_rng(seed))
+        assert trace2 == trace
+        np.testing.assert_array_equal(x2, x)
+        attempts.append(len(ends))
+    assert max(attempts) > 1
 
 
 def test_returned_samples_match_top_level_slice(cheap):
