@@ -41,12 +41,20 @@ class LangevinParams:
 
 
 def check_step_size(params: LangevinParams, target) -> None:
-    """Enforce eta <= sigma2 / 2 for the given target."""
-    limit = target.sigma2 / 2.0
+    """Enforce eta <= 1 / (2 (1/sigma2 + curvature)) for the given target.
+
+    ``curvature`` is the target's bound on the Hessian its perturbation
+    adds (0 without one), so a plain mixture keeps eta <= sigma2 / 2.
+    """
+    curvature = getattr(target, "curvature", 0.0)
+    if curvature:
+        limit = 1.0 / (2.0 * (1.0 / target.sigma2 + curvature))
+        bound = f"1/(2 (1/sigma2 + curvature)) = {limit}"
+    else:
+        limit = target.sigma2 / 2.0
+        bound = f"sigma2/2 = {limit}"
     if params.eta > limit + 1e-15:
-        raise ValueError(
-            f"eta={params.eta} violates the step-size bound eta <= sigma2/2 = {limit}"
-        )
+        raise ValueError(f"eta={params.eta} violates the step-size bound eta <= {bound}")
 
 
 def langevin_step(target, params: LangevinParams, x, noise):

@@ -61,7 +61,7 @@ def _as_points(x, d):
 
 
 def _check_finite(pts):
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("x must be finite")
 
 
@@ -161,12 +161,17 @@ class GaussianMixture:
         return fv, g
 
     def _f_grad(self, pts):
-        # Work on a (d, m) copy so that einsum and the sums over components
-        # run over rows innermost, which is fast and adds in the same order
-        # for every row. A lone row would drop that axis and switch both to
-        # another summation order, so it is doubled.
+        # Work in the (d, m) layout so that einsum and the sums over
+        # components run over rows innermost, which is fast and adds in the
+        # same order for every row. The layout costs no copy when pts is the
+        # transpose of a (d, m) array, as the engine passes it, so the
+        # gradient goes into a new array and pts is never written. A lone
+        # row would drop that axis and switch both to another summation
+        # order, so it is doubled.
         m = pts.shape[0]
-        xt = np.repeat(pts.T, 2, axis=1) if m == 1 else pts.T.copy()
+        xt = np.ascontiguousarray(pts.T)
+        if m == 1:
+            xt = np.repeat(xt, 2, axis=1)
         e = np.einsum("nd,dm->nm", self._mu_scaled, xt)
         e += self._a_shift
         top = e.max(axis=0)
@@ -175,9 +180,9 @@ class GaussianMixture:
         s = e.sum(axis=0)
         fv = np.einsum("dm,dm->m", xt, xt) / (2.0 * self.sigma2) - (top + np.log(s))
         e /= s
-        xt -= np.einsum("nm,nd->dm", e, self.means)
-        xt /= self.sigma2
-        return fv[:m], xt.T[:m]
+        g = xt - np.einsum("nm,nd->dm", e, self.means)
+        g /= self.sigma2
+        return fv[:m], g.T[:m]
 
 
 @dataclass(frozen=True)
@@ -185,8 +190,9 @@ class SinusoidalPerturbation:
     """Product-of-sines perturbation delta(x) = amplitude * prod_j sin(x_j / scale).
 
     Bounds are available in closed form: the sup norm of delta is
-    |amplitude| and the sup norm of its gradient is
-    |amplitude| * sqrt(d) / scale.
+    |amplitude|, the sup norm of its gradient is
+    |amplitude| * sqrt(d) / scale, and the largest Hessian eigenvalue
+    is at most |amplitude| * d / scale^2 in absolute value.
     """
 
     amplitude: float
@@ -198,19 +204,31 @@ class SinusoidalPerturbation:
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
 
-    def value(self, pts):
-        return self.amplitude * np.prod(np.sin(pts / self.scale), axis=-1)
-
-    def grad(self, pts):
-        s = np.sin(pts / self.scale)
-        c = np.cos(pts / self.scale)
+    def _terms(self, pts, grad):
+        """Value and, when ``grad`` is set, gradient from one sine pass."""
+        z = pts / self.scale
+        s = np.sin(z)
+        val = self.amplitude * np.prod(s, axis=-1)
+        if not grad:
+            return val, None
+        c = np.cos(z)
         d = pts.shape[-1]
-        out = np.empty_like(pts)
+        out = np.empty_like(s)
         for j in range(d):
             others = [k for k in range(d) if k != j]
             rest = np.prod(s[..., others], axis=-1) if others else 1.0
             out[..., j] = (self.amplitude / self.scale) * c[..., j] * rest
-        return out
+        return val, out
+
+    def value(self, pts):
+        return self._terms(pts, grad=False)[0]
+
+    def grad(self, pts):
+        return self._terms(pts, grad=True)[1]
+
+    def value_and_grad(self, pts):
+        """``(value(pts), grad(pts))`` with one sine and cosine pass."""
+        return self._terms(pts, grad=True)
 
     @property
     def delta(self) -> float:
@@ -219,13 +237,17 @@ class SinusoidalPerturbation:
     def tau(self, d: int) -> float:
         return abs(self.amplitude) * math.sqrt(d) / self.scale
 
+    def curvature(self, d: int) -> float:
+        return abs(self.amplitude) * d / self.scale**2
+
 
 class PerturbedTarget:
     """A mixture target plus a bounded perturbation of its energy.
 
     ``f = base.f + perturbation.value`` with declared sup-norm bounds
-    ``delta`` on the energy shift and ``tau`` on the gradient shift.
-    Unlike the exact mixture, f may dip as low as ``-delta``.
+    ``delta`` on the energy shift, ``tau`` on the gradient shift and
+    ``curvature`` on the Hessian shift. Unlike the exact mixture, f may
+    dip as low as ``-delta``.
     """
 
     def __init__(self, base: GaussianMixture, perturbation):
@@ -233,6 +255,7 @@ class PerturbedTarget:
         self.perturbation = perturbation
         self.delta = float(perturbation.delta)
         self.tau = float(perturbation.tau(base.d))
+        self.curvature = float(perturbation.curvature(base.d))
 
     @property
     def d(self) -> int:
@@ -266,8 +289,9 @@ class PerturbedTarget:
         pts, single = _as_points(x, self.d)
         _check_finite(pts)
         fv, g = self.base._f_grad(pts)
-        fv = fv + self.perturbation.value(pts)
-        g = g + self.perturbation.grad(pts)
+        dv, dg = self.perturbation.value_and_grad(pts)
+        fv = fv + dv
+        g = g + dg
         if single:
             return float(fv[0]), g[0]
         return fv, g

@@ -7,7 +7,8 @@ with the sample mean of ``exp((beta_ell - beta_{ell+1}) f(x))``, all in
 the log domain. Replicas advance in fixed-size blocks of 512 whose
 generator streams are derived from (seed, stage, round, block). A
 round's blocks run as a few wide engine calls, contiguous groups of at
-most 4096 chains split so that every worker gets one; a block's results
+most 40,960 chain coordinates (chains times d: 4096 chains at d = 10,
+40,960 at d = 1) split so that every worker gets one; a block's results
 do not depend on the group it runs in, so outputs do not depend on how
 many workers execute the round. One process pool serves a whole run.
 """
@@ -50,10 +51,12 @@ __all__ = [
 ]
 
 _BLOCK = 512
-# Chains of one engine call. Wider calls spend less per row on numpy and
-# interpreter overhead; the cap keeps the temporaries of d = 10 targets
-# from raising peak memory, with no loss of speed.
-_GROUP_CHAINS = 4096
+# Chains times d of one engine call. Wider calls spend less per row on
+# numpy and interpreter overhead; the cap keeps the engine's temporaries,
+# which grow with chains times d, from raising peak memory, with no loss
+# of speed. That is 4096 chains at d = 10 and 80 blocks at d = 1, where
+# each stage of the +-3 desk run fits in one group per worker.
+_GROUP_SIZE = 40_960
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,9 @@ def _collect_top(target, betas, log_zhat, n_want, params, proposal_mode, stage, 
     """Gather n_want replica endpoints that finished at the top prefix level.
 
     Round r runs enough blocks for the replicas still missing, in
-    contiguous groups of at most ``_GROUP_CHAINS`` chains and at most
-    ``ceil(blocks / workers)`` blocks, mapped over ``pool`` when given.
+    contiguous groups of at most ``_GROUP_SIZE`` chains times d (and at
+    least one block) and at most ``ceil(blocks / workers)`` blocks,
+    mapped over ``pool`` when given.
     Up to ``params.max_retries`` rounds run before giving up.
     """
     top = len(betas) - 1
@@ -147,11 +151,12 @@ def _collect_top(target, betas, log_zhat, n_want, params, proposal_mode, stage, 
     chunks = []
     got = 0
     run = pool.map if pool is not None else map
+    max_group = max(1, _GROUP_SIZE // (_BLOCK * target.d))
     for rnd in range(params.max_retries):
         # one extra factor covers the sub-uniform top-level occupancy
         want_chains = int(math.ceil((n_want - got) * len(betas) * 1.25))
         n_blocks = max(1, math.ceil(want_chains / _BLOCK))
-        per_group = min(_GROUP_CHAINS // _BLOCK, math.ceil(n_blocks / workers))
+        per_group = min(max_group, math.ceil(n_blocks / workers))
         groups = [[(stage, rnd, b) for b in range(first, min(first + per_group, n_blocks))]
                   for first in range(0, n_blocks, per_group)]
         job = partial(_run_group, target, betas, log_zhat, params, proposal_mode)

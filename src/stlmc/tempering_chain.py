@@ -193,21 +193,28 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
     n_heads = np.count_nonzero(heads.reshape(len(rngs), -1), axis=1)
     idx1 = np.flatnonzero(heads)
     if idx1.size:
-        # one (K, h, d) draw per block is its K successive (h, d) draws
+        # one (K, h, d) draw per block is its K successive (h, d) draws;
+        # the updates run on (d, h) arrays, the kernel's own layout
         noise = np.concatenate(
             [g.standard_normal((K, h, d)) for g, h in zip(rngs, n_heads)], axis=1
         )
         noise *= math.sqrt(2.0 * params.eta)
-        xs = x[idx1]
-        eta_b = params.eta * betas[lev[idx1]][:, None]
+        noise = noise.transpose(0, 2, 1)
+        xs = np.ascontiguousarray(x[idx1].T)
+        moved = np.empty_like(xs)
+        eta_b = params.eta * betas[lev[idx1]]
+        # xs and moved swap roles each update, so xs still holds the
+        # update's start rows when the check fails
         for k in range(K):
-            _, grad = target.f_and_grad(xs)
-            moved = xs - eta_b * grad + noise[k]
+            _, grad = target.f_and_grad(xs.T)
+            np.multiply(eta_b, grad.T, out=moved)
+            np.subtract(xs, moved, out=moved)
+            moved += noise[k]
             if not np.isfinite(moved).all():
-                bad = np.flatnonzero(~np.isfinite(moved).all(axis=1))[0]
-                raise NonFiniteGradientError(xs[bad])
-            xs = moved
-        x[idx1] = xs
+                bad = np.flatnonzero(~np.isfinite(moved).all(axis=0))[0]
+                raise NonFiniteGradientError(xs[:, bad].copy())
+            xs, moved = moved, xs
+        x[idx1] = xs.T
         if stats is not None:
             stats["grad_evals"] += K * idx1.size
     idx2 = np.flatnonzero(~heads)
@@ -228,8 +235,9 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
         # 1 - U lies in (0, 1], keeping the log finite
         acc = valid & (np.log(1.0 - u) < la)
         if stats is not None:
-            np.add.at(stats["proposals"], (l2[valid], propc[valid]), 1)
-            np.add.at(stats["accepts"], (l2[acc], propc[acc]), 1)
+            pair = l2 * L + propc
+            stats["proposals"] += np.bincount(pair[valid], minlength=L * L).reshape(L, L)
+            stats["accepts"] += np.bincount(pair[acc], minlength=L * L).reshape(L, L)
         lev[idx2] = np.where(acc, propc, l2)
         accepted[idx2] = acc
     return heads, accepted

@@ -66,6 +66,15 @@ def test_oversized_step_is_usage_error(tmp_path, capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
+def test_step_beyond_perturbation_curvature_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, target={
+        "weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0,
+        "perturbation": {"amplitude": 2.0, "scale": 0.5},
+    })
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "curvature" in capsys.readouterr().err
+
+
 def test_analyze_rejects_high_dimension(tmp_path, capsys):
     cfg = write_config(tmp_path, target={
         "weights": [1.0], "means": [[0.0, 0.0, 0.0]], "sigma2": 1.0,

@@ -8,6 +8,8 @@ from stlmc import (
     GaussianMixture,
     LangevinParams,
     NonFiniteGradientError,
+    PerturbedTarget,
+    SinusoidalPerturbation,
     check_step_size,
     langevin_step,
     run_macro_step,
@@ -47,6 +49,27 @@ def test_check_step_size(desk):
     small = GaussianMixture([1.0], [[0.0]], 0.1)
     with pytest.raises(ValueError):
         check_step_size(LangevinParams(eta=0.1, T=1.0), small)
+
+
+def test_check_step_size_counts_perturbation_curvature(desk):
+    # the sinusoid adds up to |A| d / s^2 to the Hessian: A = 2, s = 0.5
+    # gives 8, so eta <= 1 / (2 (1 + 8)) = 1/18 and eta = 0.1 is refused
+    sharp = PerturbedTarget(desk, SinusoidalPerturbation(2.0, 0.5))
+    assert sharp.curvature == 8.0
+    with pytest.raises(ValueError, match="curvature"):
+        check_step_size(LangevinParams(eta=0.1, T=0.5), sharp)
+    check_step_size(LangevinParams(eta=1.0 / 18.0, T=0.5), sharp)
+    # the perturbations the tests and the benchmark run stay accepted
+    quad = GaussianMixture([0.25] * 4, [[-2, -2], [-2, 2], [2, -2], [2, 2]], 1.0)
+    for base in (desk, quad):
+        for scale in (1.0, 1.5):
+            mild = PerturbedTarget(base, SinusoidalPerturbation(0.2, scale))
+            check_step_size(LangevinParams(eta=0.1, T=0.5), mild)
+    # a flat perturbation keeps the plain mixture's sigma2 / 2 exactly
+    flat = PerturbedTarget(desk, SinusoidalPerturbation(0.0))
+    check_step_size(LangevinParams(eta=0.5, T=1.0), flat)
+    with pytest.raises(ValueError, match="sigma2/2"):
+        check_step_size(LangevinParams(eta=0.5 + 1e-9, T=1.0), flat)
 
 
 def test_langevin_step_formula():

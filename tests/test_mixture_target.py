@@ -169,6 +169,22 @@ def test_sinusoidal_perturbation_bounds():
         SinusoidalPerturbation(0.2, scale=0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fused_perturbation_is_bit_identical(d):
+    # f_and_grad takes value and gradient from one sine pass; they must be
+    # the bits of the separate calls, also on the (d, m) layout's transpose
+    pert = SinusoidalPerturbation(0.7, 1.3)
+    pts = np.random.default_rng(60 + d).uniform(-20.0, 20.0, size=(257, d))
+    for view in (pts, np.ascontiguousarray(pts.T).T):
+        val, grad = pert.value_and_grad(view)
+        assert val.tobytes() == pert.value(pts).tobytes()
+        assert np.array_equal(grad, pert.grad(pts))
+    target = PerturbedTarget(_generic_mixture(3, d, 61), pert)
+    fv, g = target.f_and_grad(pts)
+    assert fv.tobytes() == (target.base.f_and_grad(pts)[0] + pert.value(pts)).tobytes()
+    assert np.array_equal(g, target.base.grad(pts) + pert.grad(pts))
+
+
 def test_perturbed_target_composition(desk):
     target = PerturbedTarget(desk, SinusoidalPerturbation(0.2, scale=1.5))
     x = np.array([0.8])

@@ -123,7 +123,7 @@ def test_run_main_algorithm_worker_invariance(cheap):
 
 
 def test_worker_invariance_with_several_groups(cheap):
-    # the final stage runs 10 blocks: groups of 8 + 2 with one worker, 5 + 5 with two
+    # the final stage runs 10 blocks: one group with one worker, 5 + 5 with two
     params = RunParams(eta=0.1, T=0.5, t=40, seed=22)
     a = run_main_algorithm(cheap, params, n_samples=1000)
     c = run_main_algorithm(cheap, params, n_samples=1000, workers=2)
@@ -149,6 +149,34 @@ def test_round_budget_is_max_retries(cheap):
         _collect_top(cheap, betas, np.array([0.0, 60.0]), 10, params, "neighbor", 2, 1)
     assert exc.value.attempts == 2
     assert exc.value.final_levels == {1: 2 * 512}
+
+
+def test_group_cap_follows_chains_times_d(monkeypatch, cheap):
+    # a d = 1 stage of 20 blocks runs as one group under the chains x d cap
+    # and as 8 + 8 + 4 under an 8-block cap, with the same bits
+    betas = make_ladder(cheap).betas
+    lz = np.array([0.0, -0.2, -0.35, -0.45])[:len(betas)]
+    params = RunParams(eta=0.1, T=0.5, t=30, seed=8)
+    widths = []
+    run_group = partition_estimator._run_group
+
+    def recorded(*args):
+        widths.append(len(args[-1]))
+        return run_group(*args)
+
+    monkeypatch.setattr(partition_estimator, "_run_group", recorded)
+    runs = []
+    for cap in (partition_estimator._GROUP_SIZE, 8 * 512):
+        monkeypatch.setattr(partition_estimator, "_GROUP_SIZE", cap)
+        widths.clear()
+        x, st = _collect_top(cheap, betas, lz, 2000, params, "neighbor", 4, 1)
+        runs.append((x, st, list(widths)))
+    (xa, sa, wa), (xb, sb, wb) = runs
+    assert wa[0] == 20 and wb[:3] == [8, 8, 4]
+    assert xa.tobytes() == xb.tobytes()
+    for key in ("proposals", "accepts", "occupancy"):
+        np.testing.assert_array_equal(sa[key], sb[key])
+    assert (sa["grad_evals"], sa["chains"]) == (sb["grad_evals"], sb["chains"])
 
 
 def test_estimates_track_quadrature_over_seeds(cheap):

@@ -1,4 +1,5 @@
 """Tests for ladder construction and the tempering chain's two move types."""
+import copy
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from scipy.stats import chi2_contingency
 from stlmc import (
     GaussianMixture,
     NonFiniteGradientError,
+    PerturbedTarget,
     RetriesExhaustedError,
     RunParams,
+    SinusoidalPerturbation,
     TemperatureLadder,
     log_partition_quadrature,
     make_ladder,
@@ -17,7 +20,12 @@ from stlmc import (
     run_tempering_batch,
     write_trace_csv,
 )
-from stlmc.tempering_chain import _level_log_ratio, merge_batch_stats, new_batch_stats
+from stlmc.tempering_chain import (
+    _chain_step,
+    _level_log_ratio,
+    merge_batch_stats,
+    new_batch_stats,
+)
 
 
 def test_make_ladder_desk_closed_form(desk):
@@ -321,6 +329,76 @@ def test_batch_divergence_raises_non_finite_gradient(cheap):
             pytest.raises(NonFiniteGradientError) as exc:
         run_tempering_batch(cheap, [1.0], [0.0], 8, params, np.random.default_rng(0))
     assert np.all(np.isfinite(exc.value.x))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_engine_gradient_rows_go_through_f_and_grad(monkeypatch, cheap, perturbed):
+    # a tracer counts the engine's gradient work as the rows it passes to
+    # the public f_and_grad (outermost call only), so those rows must equal
+    # stats["grad_evals"]
+    target = PerturbedTarget(cheap, SinusoidalPerturbation(0.2)) if perturbed else cheap
+    rows = []
+    depth = [0]
+    for cls in (GaussianMixture, PerturbedTarget):
+        def counted(obj, x, _inner=cls.f_and_grad):
+            if not depth[0]:
+                rows.append(max(1, np.size(x) // obj.d))
+            depth[0] += 1
+            try:
+                return _inner(obj, x)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cls, "f_and_grad", counted)
+    ladder = make_ladder(cheap)
+    params = RunParams(eta=0.1, T=0.5, t=30)
+    for n_chains, rngs in ((1, np.random.default_rng(4)),
+                           (96, [np.random.default_rng(b) for b in range(3)])):
+        rows.clear()
+        stats = new_batch_stats(ladder.L)
+        run_tempering_batch(target, ladder.betas, np.zeros(ladder.L), n_chains, params,
+                            rngs, stats=stats)
+        assert sum(rows) == stats["grad_evals"] > 0
+        if n_chains == 1:
+            # every within-level move of a lone chain has exactly one heads row
+            assert set(rows) == {1}
+
+
+@pytest.mark.parametrize("mode", ["neighbor", "uniform"])
+def test_swap_counts_match_add_at_reference(cheap, mode):
+    # replay each step's draws from a copy of the generator to get every
+    # proposal, and count proposals and accepts pair by pair with np.add.at
+    ladder = make_ladder(cheap)
+    L = ladder.L
+    params = RunParams(eta=0.1, T=0.5, t=1)
+    K = round(params.T / params.eta)
+    lz = np.array([0.0, -0.3, -0.5, -0.6])[:L]
+    rng = np.random.default_rng(12)
+    n = 300
+    x = rng.standard_normal((n, 1)) * 2.0
+    lev = rng.integers(0, L, n)
+    stats = new_batch_stats(L)
+    want_prop = np.zeros((L, L), dtype=np.int64)
+    want_acc = np.zeros((L, L), dtype=np.int64)
+    for _ in range(25):
+        replay = copy.deepcopy(rng)
+        before = lev.copy()
+        heads = replay.random(n) < 0.5
+        h = np.count_nonzero(heads)
+        if h:
+            replay.standard_normal((K, h, 1))
+        old = before[~heads]
+        if mode == "neighbor":
+            prop = old + np.where(replay.random(old.size) < 0.5, -1, 1)
+        else:
+            prop = replay.integers(0, L, old.size)
+        valid = (prop >= 0) & (prop < L)
+        np.add.at(want_prop, (old[valid], prop[valid]), 1)
+        _, accepted = _chain_step(cheap, x, lev, ladder.betas, lz, params, [rng], [n],
+                                  mode, stats)
+        np.add.at(want_acc, (before[accepted], lev[accepted]), 1)
+    assert want_acc.sum() > 0
+    np.testing.assert_array_equal(stats["proposals"], want_prop)
+    np.testing.assert_array_equal(stats["accepts"], want_acc)
 
 
 def test_write_trace_csv(tmp_path, desk):
