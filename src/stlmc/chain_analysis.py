@@ -1,9 +1,10 @@
 """Finite-state chain toolkit: gaps, conductance, restriction, projection,
 tempering gap bounds, and discretized Langevin generators.
 
-Everything here works on explicit row-stochastic matrices, small enough
-for dense eigen-solves, and exists to check the spectral machinery
-behind the sampler numerically: two-sided Cheeger bounds, the
+Finite chains are explicit row-stochastic matrices, small enough for
+dense eigen-solves; discretized generators are sparse matrices with
+shift-invert Lanczos eigen-solves. All of it checks the spectral
+machinery behind the sampler numerically: two-sided Cheeger bounds, the
 gap-product inequality for a partitioned chain, the tempering gap lower
 bounds driven by the overlap of adjacent-level densities, and the
 eigenvalue-gap phenomenon of multimodal Langevin generators.
@@ -15,8 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, expm
-from scipy.sparse import csr_matrix
+from scipy.linalg import eigh, expm
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import eigsh
 from scipy.sparse.csgraph import connected_components
 
 from .diagnostics import chi_sq_divergence
@@ -48,13 +50,14 @@ __all__ = [
     "random_partition",
 ]
 
-# Subsets per block of the exhaustive Cheeger search: the 0/1 membership
-# matrix of a block stays at a few MB for every n <= 20.
-_CHEEGER_CHUNK = 2**14
+# Subsets per block of the exhaustive Cheeger search: a block's temporaries
+# stay under 330 KB for n <= 20, which the allocator recycles; 2**14-subset
+# blocks (2.4 MB at n = 18) were mapped afresh each time, up to 2x slower.
+_CHEEGER_CHUNK = 2**11
 
 
 def _closed_classes(P):
-    n_comp, labels = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
+    n_comp, labels = connected_components(csr_array(P > 0), directed=True, connection="strong")
     closed = []
     for c in range(n_comp):
         members = np.nonzero(labels == c)[0]
@@ -489,51 +492,55 @@ def chi_sq_decay_check(chain: FiniteChain, p0, t: int):
 class DiscretizedGenerator:
     """Nearest-neighbor Metropolis-rate generator on a uniform grid.
 
-    ``generator`` has off-diagonal rates
-    ``min(1, p_beta(y) / p_beta(x)) / h^2`` between grid neighbors, so
-    the associated chain is reversible for the grid-restricted density
-    stored in ``weights``.
+    ``generator`` is a sparse CSR matrix with off-diagonal rates
+    ``min(1, p_beta(y) / p_beta(x)) / h^2`` between grid neighbors and
+    minus the row sums on the diagonal, so the associated chain is
+    reversible for the grid-restricted density stored in ``weights``.
     """
 
     grid: np.ndarray
     h: float
     beta: float
-    generator: np.ndarray
+    generator: csr_array
     weights: np.ndarray
 
     def eigenvalues(self, k=None):
         """Ascending eigenvalues of minus the generator, the k smallest or all.
 
-        The symmetrized matrix only has nonzeros within the grid-neighbor
-        band (width 1 in d = 1, n_cells in d = 2), so its lower band goes
-        to the direct banded LAPACK solver ``eig_banded``.
+        The symmetrization ``D^{1/2} (-G) D^{-1/2}`` (D the weights,
+        averaged with its transpose) stays sparse. The k smallest
+        eigenvalues come from shift-invert ``eigsh`` just below 0, with
+        a fixed start vector so that repeated solves agree to the bit;
+        the full spectrum, or k >= n - 1, from dense ``eigh``.
         """
         s = np.sqrt(self.weights)
-        A = (s[:, None] * (-self.generator)) / s[None, :]
+        G = self.generator.tocoo()
+        A = csr_array((s[G.row] * -G.data / s[G.col], (G.row, G.col)), shape=G.shape)
         A = 0.5 * (A + A.T)
         n = A.shape[0]
-        rows, cols = np.nonzero(A)
-        u = int(np.abs(rows - cols).max(initial=0))
-        band = np.zeros((u + 1, n))
-        for off in range(u + 1):
-            band[off, :n - off] = np.diagonal(A, -off)
         count = n if k is None else min(k, n)
-        vals = eig_banded(band, lower=True, eigvals_only=True, select="i",
-                          select_range=(0, count - 1))
+        if count >= n - 1:
+            vals = eigh(A.toarray(), eigvals_only=True)[:count]
+        else:
+            sigma = -1e-6 * float(np.abs(A.diagonal()).max())
+            v0 = np.random.default_rng(0).standard_normal(n)
+            vals = np.sort(eigsh(A.tocsc(), k=count, sigma=sigma, which="LM", v0=v0,
+                                 return_eigenvectors=False))
         if vals.min() < -1e-8:
             raise ValueError("generator spectrum unexpectedly negative")
         return np.clip(vals, 0.0, None)
 
     def to_chain(self, T=1.0) -> FiniteChain:
-        """Discrete-time chain exp(T * generator)."""
-        return FiniteChain(expm(self.generator * float(T)), stationary=self.weights)
+        """Discrete-time chain exp(T * generator), computed densely."""
+        return FiniteChain(expm(self.generator.toarray() * float(T)), stationary=self.weights)
 
 
 def discretize_langevin_generator(target, beta, R, n_cells) -> DiscretizedGenerator:
     """Grid discretization of the level-beta diffusion on [-R, R]^d.
 
     ``n_cells`` counts cells per axis; the total state count is capped
-    at 2000 to keep dense eigen-solves viable, and d <= 2 is required.
+    at 2000, which keeps the dense ``to_chain`` and full-spectrum paths
+    viable, and d <= 2 is required.
     The radius must satisfy ``R >= D + 6 sigma / sqrt(beta)`` so the
     truncated box carries essentially all of the level's mass.
     """
@@ -547,7 +554,7 @@ def discretize_langevin_generator(target, beta, R, n_cells) -> DiscretizedGenera
     if n_cells < 2:
         raise ValueError("need at least 2 cells per axis")
     if n_cells**d > 2000:
-        raise ValueError(f"{n_cells**d} states exceed the dense-solver cap of 2000")
+        raise ValueError(f"{n_cells**d} states exceed the grid-state cap of 2000")
     h = 2.0 * R / n_cells
     axis = -R + h * (np.arange(n_cells) + 0.5)
     if d == 1:
@@ -564,10 +571,11 @@ def discretize_langevin_generator(target, beta, R, n_cells) -> DiscretizedGenera
     else:
         i = np.concatenate([flat[:-1, :].ravel(), flat[:, :-1].ravel()])
         j = np.concatenate([flat[1:, :].ravel(), flat[:, 1:].ravel()])
-    Lgen = np.zeros((n, n))
-    Lgen[i, j] = np.exp(np.minimum(logw[j] - logw[i], 0.0)) / h**2
-    Lgen[j, i] = np.exp(np.minimum(logw[i] - logw[j], 0.0)) / h**2
-    np.fill_diagonal(Lgen, -Lgen.sum(axis=1))
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    rates = np.exp(np.minimum(logw[cols] - logw[rows], 0.0)) / h**2
+    diag = np.arange(n)
+    Lgen = csr_array((np.r_[rates, -np.bincount(rows, rates, minlength=n)],
+                      (np.r_[rows, diag], np.r_[cols, diag])), shape=(n, n))
     w = np.exp(logw - logw.max())
     w = w / w.sum()
     return DiscretizedGenerator(grid=grid, h=h, beta=float(beta), generator=Lgen, weights=w)
@@ -598,22 +606,29 @@ def z_ratio_bound_check(mixture, alpha, beta):
     Computes Z_beta / Z_alpha by quadrature and checks it lies in
     ``[0.5 exp(-2 (beta - alpha) (D/sigma + (sqrt(d) +
     sqrt(ln(2/w_min))) / sqrt(alpha))^2), 1]``. Returns
-    (ratio, lower_bound).
+    (ratio, lower_bound). Arrays of pairs are checked elementwise, with
+    one quadrature call for all their temperatures, and give arrays.
     """
-    if not (0.0 < alpha <= beta <= 1.0):
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
+    if not np.all((0.0 < alpha) & (alpha <= beta) & (beta <= 1.0)):
         raise ValueError("need 0 < alpha <= beta <= 1")
-    ratio = math.exp(
-        log_partition_quadrature(mixture, beta) - log_partition_quadrature(mixture, alpha)
-    )
+    temps, where = np.unique(np.concatenate([alpha.ravel(), beta.ravel()]),
+                             return_inverse=True)
+    log_z = log_partition_quadrature(mixture, temps)[where]
+    ratio = np.exp(log_z[alpha.size:] - log_z[:alpha.size]).reshape(alpha.shape)
     sigma = math.sqrt(mixture.sigma2)
     reach = mixture.D / sigma + (
         math.sqrt(mixture.d) + math.sqrt(math.log(2.0 / mixture.w_min))
-    ) / math.sqrt(alpha)
-    lower = 0.5 * math.exp(-2.0 * (beta - alpha) * reach**2)
-    if ratio > 1.0 + 1e-9:
-        raise BoundViolationError("z-ratio upper bound", ratio, 1.0)
-    if ratio < lower - 1e-12:
-        raise BoundViolationError("z-ratio lower bound", lower, ratio)
+    ) / np.sqrt(alpha)
+    lower = 0.5 * np.exp(-2.0 * (beta - alpha) * reach**2)
+    if np.any(ratio > 1.0 + 1e-9):
+        raise BoundViolationError("z-ratio upper bound", float(ratio.max()), 1.0)
+    short = ratio < lower - 1e-12
+    if np.any(short):
+        raise BoundViolationError("z-ratio lower bound", float(lower[short][0]),
+                                  float(ratio[short][0]))
+    if ratio.ndim == 0:
+        return float(ratio), float(lower)
     return ratio, lower
 
 

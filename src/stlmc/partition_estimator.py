@@ -274,24 +274,29 @@ def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
     return np.concatenate(out, axis=0)[:n]
 
 
-def log_partition_quadrature(target, beta) -> float:
+def log_partition_quadrature(target, beta):
     """log of the normalizer of exp(-beta f), by adaptive cubature.
 
     Integrates over the box [-(D + 8 sigma), D + 8 sigma]^d with one
     vectorized ``scipy.integrate.cubature`` call to relative tolerance
-    1e-10; available for d <= 2 only. Raises ``BoundViolationError``
-    when the error estimate does not reach the tolerance.
+    1e-10; available for d <= 2 only. A 1-d array of betas gives an
+    array from one call with the vector integrand ``exp(-f(x) beta)``,
+    each element held to the tolerance. Raises ``BoundViolationError``
+    when an error estimate does not reach the tolerance.
     """
     if target.d > 2:
         raise ValueError("quadrature oracle supports d <= 2 only")
+    betas = np.asarray(beta, dtype=float)
     R = target.D + 8.0 * math.sqrt(target.sigma2)
     rtol = 1e-10
-    res = cubature(lambda x: np.exp(-beta * target.f(x)),
+    res = cubature(lambda x: np.exp(-np.multiply.outer(target.f(x), betas)),
                    np.full(target.d, -R), np.full(target.d, R), rtol=rtol, atol=0.0)
-    val = float(res.estimate)
+    val, err = np.asarray(res.estimate, dtype=float), np.asarray(res.error, dtype=float)
     if res.status != "converged":
-        raise BoundViolationError("quadrature error estimate", float(res.error), rtol * abs(val))
-    return math.log(val)
+        worst = np.argmax(err - rtol * np.abs(val))
+        raise BoundViolationError("quadrature error estimate", float(err.flat[worst]),
+                                  rtol * abs(float(val.flat[worst])))
+    return math.log(float(val)) if betas.ndim == 0 else np.log(val)
 
 
 def concentration_check(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
 
 from stlmc import (
@@ -320,7 +321,7 @@ def test_discretized_single_gaussian_gap():
     # continuum value is 1 (the Ornstein-Uhlenbeck gap); discretization
     # and truncation shave off under 2%
     assert ev[1] == pytest.approx(0.983838, abs=1e-4)
-    np.testing.assert_allclose(gen.generator.sum(axis=1), 0.0, atol=1e-9)
+    np.testing.assert_allclose(gen.generator.toarray().sum(axis=1), 0.0, atol=1e-9)
 
 
 def test_generator_to_chain_matches_spectrum():
@@ -356,6 +357,19 @@ def test_perturbation_gap_check(desk):
     other = discretize_langevin_generator(desk, 1.0, 10.0, 300)
     with pytest.raises(ValueError, match="share one grid"):
         perturbation_gap_check(gen, other, 0.1)
+
+
+def test_z_ratio_bound_vector_matches_pairs(desk):
+    betas = np.array([0.1, 0.2, 0.35, 0.6, 1.0])
+    ratios, lowers = z_ratio_bound_check(desk, betas[:-1], betas[1:])
+    assert ratios.shape == lowers.shape == (4,)
+    for i in range(4):
+        ratio, lower = z_ratio_bound_check(desk, float(betas[i]), float(betas[i + 1]))
+        assert isinstance(ratio, float) and isinstance(lower, float)
+        assert ratios[i] == pytest.approx(ratio, rel=1e-12)
+        assert lowers[i] == pytest.approx(lower, rel=1e-12)
+    with pytest.raises(ValueError):
+        z_ratio_bound_check(desk, betas[1:], betas[:-1])
 
 
 def test_z_ratio_bound_desk(desk):
@@ -467,7 +481,7 @@ def _pairwise_generator(target, beta, R, n_cells):
             if i != j and np.isclose(np.abs(gen.grid[i] - gen.grid[j]).sum(), gen.h):
                 ref[i, j] = math.exp(min(logw[j] - logw[i], 0.0)) / gen.h**2
     np.fill_diagonal(ref, -ref.sum(axis=1))
-    return gen.generator, ref
+    return gen.generator.toarray(), ref
 
 
 def test_discretize_matches_pairwise_rates():
@@ -484,7 +498,7 @@ def test_generator_eigenvalues_match_dense_solver():
     for target, R, cells in ((desk, 10.0, 300), (four, 9.0, 20)):
         gen = discretize_langevin_generator(target, 1.0, R, cells)
         s = np.sqrt(gen.weights)
-        A = (s[:, None] * (-gen.generator)) / s[None, :]
+        A = (s[:, None] * (-gen.generator.toarray())) / s[None, :]
         dense = eigh(0.5 * (A + A.T), eigvals_only=True)
         for k in (6, None):
             ev = gen.eigenvalues(k)
@@ -492,6 +506,48 @@ def test_generator_eigenvalues_match_dense_solver():
             assert ev.shape == ref.shape
             assert abs(ev[0]) <= 1e-8
             np.testing.assert_allclose(ev[1:], ref[1:], rtol=1e-9, atol=0.0)
+
+
+def test_sparse_generator_structure():
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
+    for target, cells, pairs in ((desk, 50, 49), (four, 12, 2 * 12 * 11)):
+        gen = discretize_langevin_generator(target, 0.5, 12.0, cells)
+        G = gen.generator
+        n = gen.grid.shape[0]
+        assert sparse.issparse(G) and G.format == "csr" and G.shape == (n, n)
+        assert G.nnz == n + 2 * pairs
+        np.testing.assert_allclose(G.sum(axis=1), 0.0, atol=1e-12 * np.abs(G.data).max())
+        pattern = (G != 0).astype(int)
+        assert (pattern - pattern.T).nnz == 0
+        assert np.all(G.diagonal() < 0)
+
+
+def _dense_spectrum(gen):
+    s = np.sqrt(gen.weights)
+    A = (s[:, None] * (-gen.generator.toarray())) / s[None, :]
+    return eigh(0.5 * (A + A.T), eigvals_only=True)
+
+
+def test_eigenvalue_paths_match_dense_eigh(monkeypatch):
+    calls = []
+    eigsh = chain_analysis.eigsh
+    monkeypatch.setattr(chain_analysis, "eigsh",
+                        lambda *a, **kw: calls.append(kw["k"]) or eigsh(*a, **kw))
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    big = discretize_langevin_generator(four, 1.0, 9.0, 20)
+    tiny = discretize_langevin_generator(GaussianMixture([1.0], [[0.0]], 1.0), 1.0, 8.0, 5)
+    # shift-invert for k = 6; dense for the full spectrum and for k >= n - 1
+    for gen, k, sparse_path in ((big, 6, True), (big, None, False), (tiny, 4, False),
+                                (tiny, 5, False), (tiny, 9, False), (tiny, 3, True)):
+        calls.clear()
+        ev = gen.eigenvalues(k)
+        dense = _dense_spectrum(gen)
+        ref = dense[:len(dense) if k is None else min(k, len(dense))]
+        assert calls == ([k] if sparse_path else [])
+        assert ev.shape == ref.shape
+        assert abs(ev[0]) <= 1e-8
+        np.testing.assert_allclose(ev[1:], ref[1:], rtol=1e-9, atol=0.0)
 
 
 def test_cheeger_is_exactly_zero_on_disconnected_random_blocks():

@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line front end."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from stlmc import cli
 from stlmc.cli import build_parser, main
 
 
@@ -171,3 +175,37 @@ def test_compare_writes_both_methods(tmp_path, capsys):
     assert "tempering" in report
     assert "plain-langevin" in report
     assert "grad_evals" in report
+
+
+FOUR_MODE = {"weights": [0.25] * 4, "sigma2": 1.0,
+             "means": [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]]}
+
+
+def test_analyze_report_is_reproducible(tmp_path):
+    # shift-invert Lanczos from a random start vector would change the
+    # printed round-off of lambda_1 from one solve to the next
+    cfg = write_config(tmp_path, target=FOUR_MODE, run={"c2": 2.0})
+    reports = []
+    for k in range(2):
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / f"in{k}")]) == 0
+        reports.append((tmp_path / f"in{k}" / "analyze.txt").read_bytes())
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "stlmc", "analyze", "--config", str(cfg),
+                    "--out", str(tmp_path / "fresh")], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    reports.append((tmp_path / "fresh" / "analyze.txt").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_analyze_checks_the_ladder_in_one_call(tmp_path, monkeypatch):
+    calls = []
+    check = cli.z_ratio_bound_check
+    monkeypatch.setattr(cli, "z_ratio_bound_check",
+                        lambda *a: calls.append(len(a[1])) or check(*a))
+    cfg = write_config(tmp_path, target=FOUR_MODE, run={"c2": 2.0})
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "an"),
+                 "--cells", "20"]) == 0
+    report = (tmp_path / "an" / "analyze.txt").read_text()
+    assert calls == [12] and "12->13: ratio=" in report

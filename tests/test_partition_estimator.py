@@ -267,6 +267,31 @@ def test_log_partition_quadrature_matches_nquad_reference():
                        - _nquad_log_partition(target, beta)) <= 1e-9
 
 
+def test_vector_log_partition_quadrature_matches_scalar_calls(desk):
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    bumpy = PerturbedTarget(desk, SinusoidalPerturbation(0.2, 1.0))
+    betas = np.array([0.05, 0.125, 0.3, 0.7, 1.0])
+    for target in (desk, four, bumpy):
+        vec = log_partition_quadrature(target, betas)
+        assert isinstance(vec, np.ndarray) and vec.shape == betas.shape
+        for b, v in zip(betas, vec):
+            scalar = log_partition_quadrature(target, float(b))
+            assert type(scalar) is float
+            assert abs(v - scalar) <= 1e-12
+
+
+def test_vector_log_partition_quadrature_raises_when_not_converged(monkeypatch):
+    def stalled(f, a, b, **kwargs):
+        return SimpleNamespace(estimate=np.array([3.0, 2.5]), error=np.array([1e-12, 0.1]),
+                               status="not_converged")
+
+    monkeypatch.setattr(partition_estimator, "cubature", stalled)
+    with pytest.raises(BoundViolationError, match="quadrature") as exc:
+        log_partition_quadrature(GaussianMixture([1.0], [[0.0]], 1.0), np.array([0.5, 1.0]))
+    assert exc.value.lhs == pytest.approx(0.1)
+    assert exc.value.rhs == pytest.approx(2.5e-10)
+
+
 def test_log_partition_quadrature_raises_when_not_converged(monkeypatch, tmp_path, capsys):
     def stalled(f, a, b, **kwargs):
         return SimpleNamespace(estimate=np.array(2.5), error=np.array(0.1),
