@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteGradientError,
     RetriesExhaustedError,
 )
-from .langevin_kernel import LangevinParams, check_step_size, run_macro_step
+from .langevin_kernel import check_step_size, run_macro_step
 from .mixture_target import GaussianMixture, PerturbedTarget, target_from_config
 from .partition_estimator import (
     log_partition_quadrature,
@@ -56,7 +56,8 @@ _RUN_DEFAULTS = {
 }
 
 
-def _load_config(path):
+def _load_target(path):
+    """The config mapping and the target it specifies."""
     if path is None:
         raise ConfigError("a --config file with a target section is required")
     try:
@@ -68,7 +69,7 @@ def _load_config(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "target" not in cfg:
         raise ConfigError("config must be a JSON object with a 'target' section")
-    return cfg
+    return cfg, target_from_config(cfg["target"])
 
 
 def _merge_run_params(cfg, args, require_seed):
@@ -126,6 +127,14 @@ def _write_samples_csv(path, samples):
             fh.write(str(i) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _report(out, name, lines):
+    """Write a command's report lines to ``out/name`` and to stdout."""
+    text = "\n".join(lines) + "\n"
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(text)
+    sys.stdout.write(text)
+
+
 def _occupancy_lines(stats, L):
     occ = stats["occupancy"]
     lines = []
@@ -145,34 +154,45 @@ def _occupancy_lines(stats, L):
     return lines
 
 
-def _quality_lines(target, samples, centers, radius, bins):
-    lines = []
-    frac, rest = mode_occupancy(samples, centers, radius)
-    lines.append(f"mode fractions (radius {radius:.3g}): "
-                 + " ".join(f"{v:.4f}" for v in frac)
-                 + f"  unassigned {rest:.4f}")
+def _measure(target, samples, radius, bins):
+    """Mode fractions, the unassigned share and the TV distance of samples.
+
+    The TV distance is against the quadrature masses of ``bins`` bins per
+    axis on the default box, and None for d > 2.
+    """
+    frac, rest = mode_occupancy(samples, _mode_centers(target), radius)
+    tv = None
     if target.d <= 2:
         lo, hi = default_box(target)
         hist = Histogram.from_samples(samples, lo, hi, bins=bins)
         tv = tv_distance(hist, exact_bin_masses(target, hist))
-        lines.append(f"TV distance vs quadrature density ({bins} bins): {tv:.4f}")
-    else:
-        lines.append("TV distance: skipped (d > 2)")
-    return lines
+    return frac, rest, tv
+
+
+def _main_run(args, with_samples):
+    """The part of sample, compare and estimate-z before their reports.
+
+    Reads the config, target, run parameters and, ``with_samples``, the
+    sample count, and checks the step size, all before it makes the
+    output directory; then runs the main algorithm. Returns
+    ``(cfg, target, params, mode, workers, out, result)``.
+    """
+    cfg, target = _load_target(args.config)
+    params, mode, workers, (c1, c2) = _merge_run_params(cfg, args, require_seed=True)
+    n_samples = 0
+    if with_samples:
+        n_samples = args.n_samples if args.n_samples is not None else int(cfg.get("n_samples", 2000))
+        if n_samples < 1:
+            raise ConfigError(f"n_samples must be positive for {args.command}")
+    check_step_size(params.eta, target)
+    out = _out_dir(args, cfg)
+    result = run_main_algorithm(target, params, c1=c1, c2=c2, n_samples=n_samples,
+                                proposal_mode=mode, workers=workers)
+    return cfg, target, params, mode, workers, out, result
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    target = target_from_config(cfg["target"])
-    params, mode, workers, (c1, c2) = _merge_run_params(cfg, args, require_seed=True)
-    check_step_size(LangevinParams(params.eta, params.T), target)
-    n_samples = args.n_samples if args.n_samples is not None else int(cfg.get("n_samples", 2000))
-    if n_samples < 1:
-        raise ConfigError("n_samples must be positive for sample")
-    out = _out_dir(args, cfg)
-
-    result = run_main_algorithm(target, params, c1=c1, c2=c2,
-                                n_samples=n_samples, proposal_mode=mode, workers=workers)
+    cfg, target, params, mode, workers, out, result = _main_run(args, with_samples=True)
     _write_samples_csv(os.path.join(out, "samples.csv"), result.samples)
     save_estimates(os.path.join(out, "estimates.json"), result.ladder,
                    result.estimates, params.seed, params)
@@ -187,16 +207,17 @@ def cmd_sample(args) -> int:
         f"run: eta={params.eta} T={params.T} t={params.t} "
         f"m={params.m if params.m is not None else 10 * result.ladder.L**2} "
         f"seed={params.seed} workers={workers}",
-        f"samples: {n_samples}",
+        f"samples: {result.samples.shape[0]}",
         f"gradient evaluations: {result.stats['grad_evals']}",
     ]
     lines += _occupancy_lines(result.stats, result.ladder.L)
-    lines += _quality_lines(target, result.samples, _mode_centers(target),
-                            _mode_radius(args, cfg, target), args.bins)
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    radius = _mode_radius(args, cfg, target)
+    frac, rest, tv = _measure(target, result.samples, radius, args.bins)
+    lines.append(f"mode fractions (radius {radius:.3g}): "
+                 + " ".join(f"{v:.4f}" for v in frac) + f"  unassigned {rest:.4f}")
+    lines.append("TV distance: skipped (d > 2)" if tv is None
+                 else f"TV distance vs quadrature density ({args.bins} bins): {tv:.4f}")
+    _report(out, "summary.txt", lines)
 
     if args.trace:
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(1_000_000,)))
@@ -205,76 +226,32 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _matched_langevin(target, params, n_chains, grad_budget, start, rng):
-    """Plain level-1.0 chains from ``start`` burning the same gradient count."""
-    steps = max(1, grad_budget // n_chains)
-    lp = LangevinParams(eta=params.eta, T=steps * params.eta, beta=1.0)
-    x = np.tile(np.asarray(start, dtype=float).reshape(1, -1), (n_chains, 1))
-    return run_macro_step(target, lp, x, rng), steps * n_chains
-
-
-def _compare_scenario(label, target, params, mode, workers, n_samples, radius,
-                      bins, rows, c1, c2):
-    try:
-        result = run_main_algorithm(target, params, n_samples=n_samples,
-                                    proposal_mode=mode, workers=workers,
-                                    c1=c1, c2=c2)
-    except (RetriesExhaustedError, BoundViolationError) as exc:
-        rows.append((label, "tempering", "failed: " + str(exc)))
-        return
-    budget = result.stats["grad_evals"]
-    centers = _mode_centers(target)
-    rows.append((label, "tempering",
-                 _describe(target, result.samples, centers, radius, bins, budget)))
-    rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(2_000_000,)))
-    plain, used = _matched_langevin(target, params, n_samples, budget, centers[0], rng)
-    rows.append((label, "plain-langevin",
-                 _describe(target, plain, centers, radius, bins, used)))
-
-
-def _describe(target, samples, centers, radius, bins, grad_evals):
-    frac, rest = mode_occupancy(samples, centers, radius)
-    desc = ("mode fractions " + "/".join(f"{v:.4f}" for v in frac)
-            + f" unassigned {rest:.4f}")
-    if target.d <= 2:
-        lo, hi = default_box(target)
-        hist = Histogram.from_samples(samples, lo, hi, bins=bins)
-        tv = tv_distance(hist, exact_bin_masses(target, hist))
-        desc += f" tv {tv:.4f}"
-    return desc + f" grad_evals {grad_evals}"
-
-
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    target = target_from_config(cfg["target"])
-    params, mode, workers, (c1, c2) = _merge_run_params(cfg, args, require_seed=True)
-    check_step_size(LangevinParams(params.eta, params.T), target)
-    n_samples = args.n_samples if args.n_samples is not None else int(cfg.get("n_samples", 2000))
-    out = _out_dir(args, cfg)
+    cfg, target, params, _, _, out, result = _main_run(args, with_samples=True)
     radius = _mode_radius(args, cfg, target)
-
-    rows = []
-    _compare_scenario("standard", target, params, mode, workers, n_samples,
-                      radius, args.bins, rows, c1=c1, c2=c2)
+    n_chains = result.samples.shape[0]
+    budget = result.stats["grad_evals"]
+    # plain level-1.0 chains from the first mode burning the same gradient count
+    steps = max(1, budget // n_chains)
+    rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(2_000_000,)))
+    start = np.tile(_mode_centers(target)[0], (n_chains, 1))
+    plain = run_macro_step(target, start, rng, params.eta, steps)
 
     lines = ["# stlmc compare v1"]
-    for label, method, desc in rows:
-        lines.append(f"{label:<32} {method:<15} {desc}")
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "compare.txt"), "w") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    for method, samples, grad_evals in (("tempering", result.samples, budget),
+                                        ("plain-langevin", plain, steps * n_chains)):
+        frac, rest, tv = _measure(target, samples, radius, args.bins)
+        desc = ("mode fractions " + "/".join(f"{v:.4f}" for v in frac)
+                + f" unassigned {rest:.4f}")
+        if tv is not None:
+            desc += f" tv {tv:.4f}"
+        lines.append(f"{'standard':<32} {method:<15} {desc} grad_evals {grad_evals}")
+    _report(out, "compare.txt", lines)
     return 0
 
 
 def cmd_estimate_z(args) -> int:
-    cfg = _load_config(args.config)
-    target = target_from_config(cfg["target"])
-    params, mode, workers, (c1, c2) = _merge_run_params(cfg, args, require_seed=True)
-    check_step_size(LangevinParams(params.eta, params.T), target)
-    out = _out_dir(args, cfg)
-    result = run_main_algorithm(target, params, c1=c1, c2=c2, n_samples=0,
-                                proposal_mode=mode, workers=workers)
+    _, target, params, _, _, out, result = _main_run(args, with_samples=False)
     save_estimates(os.path.join(out, "estimates.json"), result.ladder,
                    result.estimates, params.seed, params)
     lines = ["# stlmc estimate-z report v1",
@@ -294,16 +271,12 @@ def cmd_estimate_z(args) -> int:
                   for lvl, (b, lz) in enumerate(
                       zip(result.ladder.betas, result.estimates.log_zhat), 1)]
         lines.append("quadrature comparison skipped (d > 2)")
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "estimate_z.txt"), "w") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    _report(out, "estimate_z.txt", lines)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config)
-    target = target_from_config(cfg["target"])
+    cfg, target = _load_target(args.config)
     if target.d > 2:
         raise ConfigError("analyze discretizes the generator on a grid and supports d <= 2 only")
     _, mode, _, (c1, c2) = _merge_run_params(cfg, args, require_seed=False)
@@ -333,10 +306,7 @@ def cmd_analyze(args) -> int:
         for i, (ratio, lower) in enumerate(zip(ratios, lowers), 1):
             lines.append(f"  {i}->{i + 1}: ratio={ratio:.4f} lower={lower:.4e} "
                          f"margin={ratio / lower:.1f}x")
-    text = "\n".join(lines) + "\n"
-    with open(os.path.join(out, "analyze.txt"), "w") as fh:
-        fh.write(text)
-    sys.stdout.write(text)
+    _report(out, "analyze.txt", lines)
     return 0
 
 

@@ -83,34 +83,6 @@ class Histogram:
     def out_of_box_mass(self) -> float:
         return 1.0 - self.counts.sum() / self.total
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        if (self.bins != other.bins
-                or not np.array_equal(self.box_lo, other.box_lo)
-                or not np.array_equal(self.box_hi, other.box_hi)):
-            raise ValueError("histograms cover different grids")
-        return Histogram(self.box_lo, self.box_hi, self.bins,
-                         self.counts + other.counts, self.total + other.total)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# stlmc histogram v1\n")
-            fh.write(f"# total={self.total} binned={int(self.counts.sum())}\n")
-            if self.d == 1:
-                fh.write("x_lo,x_hi,count\n")
-                e = self.edges()
-                for i in range(self.bins):
-                    fh.write(f"{e[i]:.17g},{e[i + 1]:.17g},{int(self.counts[i])}\n")
-            elif self.d == 2:
-                fh.write("x_lo,x_hi,y_lo,y_hi,count\n")
-                ex, ey = self.edges(0), self.edges(1)
-                for i in range(self.bins):
-                    for j in range(self.bins):
-                        fh.write(f"{ex[i]:.17g},{ex[i + 1]:.17g},"
-                                 f"{ey[j]:.17g},{ey[j + 1]:.17g},"
-                                 f"{int(self.counts[i, j])}\n")
-            else:
-                raise ValueError("CSV dump supports d <= 2")
-
 
 def default_box(target):
     """Measurement box [-D - 6 sigma, D + 6 sigma]^d."""

@@ -1,46 +1,27 @@
 """Unadjusted Langevin dynamics at an inverse temperature beta.
 
-One macro-step applies ``round(T / eta)`` Euler discretization steps
+One macro-step applies ``K = max(1, round(T / eta))`` Euler
+discretization steps (``RunParams.steps_per_macro``)
 
     x <- x - eta * beta * grad_f(x) + sqrt(2 * eta) * xi
 
 with fresh standard-normal noise each step and no Metropolis
 correction; the discretization bias is controlled through eta.
+``_updates`` is the one loop that applies these steps: the tempering
+chain's within-level moves and ``run_macro_step`` both call it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteGradientError
 
-__all__ = ["LangevinParams", "check_step_size", "langevin_step", "run_macro_step"]
+__all__ = ["check_step_size", "run_macro_step"]
 
 
-@dataclass(frozen=True)
-class LangevinParams:
-    """Step size eta, macro-step time interval T, inverse temperature beta."""
-
-    eta: float
-    T: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive (got {self.eta!r})")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be positive (got {self.T!r})")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ValueError(f"beta must lie in [0, 1] (got {self.beta!r})")
-
-    @property
-    def steps_per_macro(self) -> int:
-        return max(1, round(self.T / self.eta))
-
-
-def check_step_size(params: LangevinParams, target) -> None:
+def check_step_size(eta, target) -> None:
     """Enforce eta <= 1 / (2 (1/sigma2 + curvature)) for the given target.
 
     ``curvature`` is the target's bound on the Hessian its perturbation
@@ -53,25 +34,46 @@ def check_step_size(params: LangevinParams, target) -> None:
     else:
         limit = target.sigma2 / 2.0
         bound = f"sigma2/2 = {limit}"
-    if params.eta > limit + 1e-15:
-        raise ValueError(f"eta={params.eta} violates the step-size bound eta <= {bound}")
+    if eta > limit + 1e-15:
+        raise ValueError(f"eta={eta} violates the step-size bound eta <= {bound}")
 
 
-def langevin_step(target, params: LangevinParams, x, noise):
-    """One Euler step; x and noise share shape (d,) or (m, d)."""
+def _updates(target, xs, eta_b, noise):
+    """Apply one Langevin update per (d, h) array in ``noise``; return the result.
+
+    ``xs`` holds h points as the columns of a C-ordered (d, h) array, the
+    mixture kernel's own layout; it is overwritten, and the result is
+    ``xs`` or a second buffer of its shape. ``eta_b`` is eta * beta, one
+    value or one per column; the noise is already scaled by sqrt(2 eta).
+    Gradients come only from ``target.f_and_grad``. An update that leaves
+    a point non-finite raises ``NonFiniteGradientError`` carrying the
+    point the update started from.
+    """
+    moved = np.empty_like(xs)
+    # xs and moved swap roles each update, so xs still holds the
+    # update's start rows when the check fails
+    for step_noise in noise:
+        _, grad = target.f_and_grad(xs.T)
+        np.multiply(eta_b, grad.T, out=moved)
+        np.subtract(xs, moved, out=moved)
+        moved += step_noise
+        if not np.isfinite(moved).all():
+            bad = np.flatnonzero(~np.isfinite(moved).all(axis=0))[0]
+            raise NonFiniteGradientError(xs[:, bad].copy())
+        xs, moved = moved, xs
+    return xs
+
+
+def run_macro_step(target, x, rng, eta, n_steps, beta=1.0):
+    """Apply n_steps Langevin steps to a (d,) point or an (m, d) batch.
+
+    Each step draws ``rng.standard_normal(x.shape)``, so the noise
+    stream is that of one draw per step in the point's own shape; the
+    result has x's shape and x is not written.
+    """
     x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != x.shape:
-        raise ValueError(f"noise shape {noise.shape} does not match x shape {x.shape}")
-    g = target.grad(x)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradientError(x)
-    return x - params.eta * params.beta * g + math.sqrt(2.0 * params.eta) * noise
-
-
-def run_macro_step(target, params: LangevinParams, x, rng):
-    """Apply steps_per_macro Langevin steps with noise drawn from rng."""
-    x = np.asarray(x, dtype=float)
-    for _ in range(params.steps_per_macro):
-        x = langevin_step(target, params, x, rng.standard_normal(x.shape))
-    return x
+    xs = np.array(x.reshape(-1, target.d).T, order="C")
+    scale = math.sqrt(2.0 * eta)
+    noise = (rng.standard_normal(x.shape).reshape(-1, target.d).T * scale
+             for _ in range(n_steps))
+    return np.ascontiguousarray(_updates(target, xs, eta * beta, noise).T).reshape(x.shape)

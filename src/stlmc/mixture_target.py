@@ -18,7 +18,7 @@ point's energy and gradient do not depend on the rows evaluated with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,18 +127,17 @@ class GaussianMixture:
     def w_min(self) -> float:
         return float(self.weights.min())
 
-    def _log_terms(self, pts):
-        # (m, n) matrix of log w_i - ||x - mu_i||^2 / (2 sigma2)
-        diff = pts[:, None, :] - self.means[None, :, :]
-        sq = np.einsum("mnd,mnd->mn", diff, diff)
-        return np.log(self.weights)[None, :] - sq / (2.0 * self.sigma2), diff
+    def _logits(self, pts):
+        """(n, m) logits a_i of the (m, d) points; see the module docstring."""
+        a = np.einsum("nd,md->nm", self._mu_scaled, pts)
+        a += self._a_shift
+        return a
 
     def f(self, x):
         """Energy f(x); float for a single point, (m,) array for a batch."""
         pts, single = _as_points(x, self.d)
         _check_finite(pts)
-        a = np.einsum("nd,md->nm", self._mu_scaled, pts)
-        a += self._a_shift
+        a = self._logits(pts)
         # one logaddexp pass takes the fewest numpy calls for single
         # points, and it adds in component order for any m
         val = (np.einsum("md,md->m", pts, pts) / (2.0 * self.sigma2)
@@ -147,10 +146,7 @@ class GaussianMixture:
 
     def grad(self, x):
         """Gradient of f; same leading shape as the input."""
-        pts, single = _as_points(x, self.d)
-        _check_finite(pts)
-        _, g = self._f_grad(pts)
-        return g[0] if single else g
+        return self.f_and_grad(x)[1]
 
     def f_and_grad(self, x):
         pts, single = _as_points(x, self.d)
@@ -280,10 +276,7 @@ class PerturbedTarget:
         return float(val[0]) if single else val
 
     def grad(self, x):
-        pts, single = _as_points(x, self.d)
-        _check_finite(pts)
-        g = self.base.grad(pts) + self.perturbation.grad(pts)
-        return g[0] if single else g
+        return self.f_and_grad(x)[1]
 
     def f_and_grad(self, x):
         pts, single = _as_points(x, self.d)
@@ -366,13 +359,12 @@ def close_to_sum_ratio(mixture: GaussianMixture, beta, x):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     pts, single = _as_points(x, mixture.d)
     _check_finite(pts)
-    a, _ = mixture._log_terms(pts)
-    # a already holds log w_i - ||x-mu_i||^2/(2 sigma2); scale the quadratic part
-    sq_part = a - np.log(mixture.weights)[None, :]
-    tilde = np.log(mixture.weights)[None, :] + beta * sq_part
-    m = tilde.max(axis=1)
-    log_tilde = m + np.log(np.exp(tilde - m[:, None]).sum(axis=1))
-    log_ratio = -beta * mixture.f(pts) - log_tilde
+    a = mixture._logits(pts)
+    # with q = ||x||^2 / (2 sigma2), -beta f = beta logsumexp_i a_i - beta q and
+    # log gtilde_beta = logsumexp_i(log w_i + beta (a_i - log w_i)) - beta q
+    log_w = np.log(mixture.weights)[:, None]
+    log_ratio = (beta * np.logaddexp.reduce(a, axis=0)
+                 - np.logaddexp.reduce(log_w + beta * (a - log_w), axis=0))
     out = np.exp(log_ratio)
     return float(out[0]) if single else out
 

@@ -26,7 +26,7 @@ from scipy.integrate import cubature
 from scipy.special import logsumexp
 
 from .errors import BoundViolationError, RetriesExhaustedError
-from .langevin_kernel import LangevinParams, check_step_size
+from .langevin_kernel import check_step_size
 from .mixture_target import GaussianMixture
 from .tempering_chain import (
     RunParams,
@@ -76,10 +76,6 @@ class PartitionEstimates:
         lz = lz.copy()
         lz.flags.writeable = False
         object.__setattr__(self, "log_zhat", lz)
-
-    @property
-    def L(self) -> int:
-        return self.log_zhat.shape[0]
 
 
 @dataclass
@@ -197,7 +193,7 @@ def run_main_algorithm(
     """
     if params.seed is None:
         raise ValueError("params.seed is required for reproducible runs")
-    check_step_size(LangevinParams(params.eta, params.T), target)
+    check_step_size(params.eta, target)
     ladder = make_ladder(target, c1, c2, proposal_mode)
     L = ladder.L
     m = int(params.m) if params.m is not None else 10 * L * L
@@ -265,10 +261,12 @@ def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
         batch = max(2 * (n - got), 128)
         comp = rng.choice(mixture.n, size=batch, p=wb)
         xs = mixture.means[comp] + comp_sd * rng.standard_normal((batch, mixture.d))
-        a, _ = mixture._log_terms(xs)
-        log_g = -beta * np.atleast_1d(mixture.f(xs))
-        log_q = logsumexp(beta * a, axis=1)
-        keep = np.log(1.0 - rng.random(batch)) < log_g - log_q
+        # log exp(-beta f) less the log of the envelope sum_i w_i^beta
+        # exp(-beta ||x - mu_i||^2 / (2 sigma2)), both from the logits a_i:
+        # their ||x||^2 / (2 sigma2) terms cancel
+        a = mixture._logits(xs)
+        log_ratio = beta * logsumexp(a, axis=0) - logsumexp(beta * a, axis=0)
+        keep = np.log(1.0 - rng.random(batch)) < log_ratio
         out.append(xs[keep])
         got += int(keep.sum())
     return np.concatenate(out, axis=0)[:n]

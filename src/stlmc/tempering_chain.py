@@ -9,15 +9,18 @@ beta = 1, so an accepted run ends at the true target temperature; only
 the trace file, the CLI summary and ``RetriesExhaustedError`` print
 them 1-based.
 
-One step function, ``_chain_step``, advances rows of chains and
-serves both drivers. ``run_tempering_batch`` advances many independent
-replicas at once, gathering the rows that drew a within-level move so
-the gradient loop only touches active chains. Its rows may form several
-blocks, each drawing from its own generator: the arithmetic runs once on
-all rows, and each block's results are the same as if it ran alone, so
-callers choose the width of a call apart from how its randomness is
-split. ``run_stlmc`` runs restarting attempts as the rows of such a
-batch and records the trace of the chain that reaches the top.
+One step function, ``_chain_step``, advances rows of chains for both
+callers below. Its within-level moves run
+``RunParams.steps_per_macro`` updates through ``langevin_kernel``'s
+update loop, the one ``run_macro_step`` also runs.
+``run_tempering_batch`` advances many independent replicas at once,
+gathering the rows that drew a within-level move so the gradient loop
+only touches active chains. Its rows may form several blocks, each
+drawing from its own generator: the arithmetic runs once on all rows,
+and each block's results are the same as if it ran alone, so callers
+choose the width of a call apart from how its randomness is split.
+``run_stlmc`` runs restarting attempts as the rows of such a batch and
+records the trace of the chain that reaches the top.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, RetriesExhaustedError
-from .langevin_kernel import LangevinParams, check_step_size
+from .errors import RetriesExhaustedError
+from .langevin_kernel import _updates, check_step_size
 
 __all__ = [
     "TemperatureLadder",
@@ -114,6 +117,11 @@ class RunParams:
         if int(self.max_retries) < 1:
             raise ValueError("max_retries must be at least 1")
 
+    @property
+    def steps_per_macro(self) -> int:
+        """Langevin steps per within-level move, max(1, round(T / eta))."""
+        return max(1, round(self.T / self.eta))
+
 
 def make_ladder(target, c1=1.0, c2=1.0, proposal_mode="neighbor") -> TemperatureLadder:
     """Arithmetic temperature ladder sized from the target geometry.
@@ -185,7 +193,7 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
     Returns two row masks: ``heads`` (the row made a within-level move)
     and ``accepted`` (the row's level move was taken).
     """
-    K = max(1, round(params.T / params.eta))
+    K = params.steps_per_macro
     d = x.shape[1]
     L = betas.shape[0]
     heads = _per_block(rngs, sizes, lambda g, c: g.random(c)) < 0.5
@@ -194,27 +202,14 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
     idx1 = np.flatnonzero(heads)
     if idx1.size:
         # one (K, h, d) draw per block is its K successive (h, d) draws;
-        # the updates run on (d, h) arrays, the kernel's own layout
+        # the updates run on (d, h) arrays, the mixture kernel's layout
         noise = np.concatenate(
             [g.standard_normal((K, h, d)) for g, h in zip(rngs, n_heads)], axis=1
         )
         noise *= math.sqrt(2.0 * params.eta)
         noise = noise.transpose(0, 2, 1)
         xs = np.ascontiguousarray(x[idx1].T)
-        moved = np.empty_like(xs)
-        eta_b = params.eta * betas[lev[idx1]]
-        # xs and moved swap roles each update, so xs still holds the
-        # update's start rows when the check fails
-        for k in range(K):
-            _, grad = target.f_and_grad(xs.T)
-            np.multiply(eta_b, grad.T, out=moved)
-            np.subtract(xs, moved, out=moved)
-            moved += noise[k]
-            if not np.isfinite(moved).all():
-                bad = np.flatnonzero(~np.isfinite(moved).all(axis=0))[0]
-                raise NonFiniteGradientError(xs[:, bad].copy())
-            xs, moved = moved, xs
-        x[idx1] = xs.T
+        x[idx1] = _updates(target, xs, params.eta * betas[lev[idx1]], noise).T
         if stats is not None:
             stats["grad_evals"] += K * idx1.size
     idx2 = np.flatnonzero(~heads)
@@ -325,7 +320,7 @@ def run_stlmc(target, ladder, log_zhat, params, rng):
         When every attempt ends below the top level; the error carries
         the attempt count and a histogram of 1-based final levels.
     """
-    check_step_size(LangevinParams(params.eta, params.T), target)
+    check_step_size(params.eta, target)
     log_zhat = np.asarray(log_zhat, dtype=float)
     if log_zhat.shape != (ladder.L,):
         raise ValueError("log_zhat must provide one entry per ladder level")

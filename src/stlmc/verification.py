@@ -46,7 +46,7 @@ from .diagnostics import (
     tv_from_masses,
 )
 from .errors import ReducibleChainError
-from .langevin_kernel import LangevinParams, langevin_step, run_macro_step
+from .langevin_kernel import run_macro_step
 from .mixture_target import (
     GaussianMixture,
     PerturbedTarget,
@@ -206,15 +206,15 @@ def mixture_suite():
 
     def ar1_variance():
         gauss = GaussianMixture([1.0], [[0.0]], 1.0)
-        params = LangevinParams(eta=0.01, T=10.0, beta=1.0)
+        eta = 0.01
         rng = np.random.default_rng(4)
         x = np.zeros((200, 1))
         vals = []
         for _ in range(50):
-            x = run_macro_step(gauss, params, x, rng)
+            x = run_macro_step(gauss, x, rng, eta, 1000)
             vals.append(x.ravel().copy())
         v = float(np.concatenate(vals).var())
-        oracle = 1.0 / (1.0 - params.eta / 2.0)
+        oracle = 1.0 / (1.0 - eta / 2.0)
         return 0.93 <= v <= 1.08, f"variance={v:.4f} oracle={oracle:.5f} window [0.93, 1.08]"
 
     _run(checks, "discretized Gaussian stationary variance", ar1_variance)
@@ -224,10 +224,10 @@ def mixture_suite():
         xstar = locate_min(desk)
         x0 = xstar[None, :] + rng.standard_normal((1000, 1))
         e0 = float(np.mean(np.sum((x0 - xstar) ** 2, axis=1)))
-        params = LangevinParams(eta=0.1, T=0.5, beta=1.0)
-        x = run_macro_step(desk, params, x0, rng)
+        T = 0.5
+        x = run_macro_step(desk, x0, rng, 0.1, 5)
         sq = np.sum((x - xstar) ** 2, axis=1)
-        budget = e0 + (4.0 * desk.D**2 + 2 * desk.d) * params.T
+        budget = e0 + (4.0 * desk.D**2 + 2 * desk.d) * T
         se = float(np.std(sq) / math.sqrt(sq.size))
         et = float(np.mean(sq))
         return et <= budget + 3 * se, f"E0={e0:.3f} ET={et:.3f} budget={budget:.3f}+3SE"
@@ -236,10 +236,9 @@ def mixture_suite():
 
     def mean_convergence():
         gauss = GaussianMixture([1.0], [[2.0]], 1.0)
-        params = LangevinParams(eta=0.01, T=2.0, beta=1.0)
         rng = np.random.default_rng(16)
         x = np.full((500, 1), 2.0)
-        x = run_macro_step(gauss, params, x, rng)
+        x = run_macro_step(gauss, x, rng, 0.01, 200)
         m = float(x.mean())
         se = float(x.std() / math.sqrt(x.shape[0]))
         return abs(m - 2.0) <= 3 * se, f"mean={m:.4f} vs 2.0, 3SE={3 * se:.4f} over 1e5 steps"
@@ -250,16 +249,14 @@ def mixture_suite():
         sigma = 1.5
         unit = GaussianMixture([0.5, 0.5], [[-2.0], [2.0]], 1.0)
         orig = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], sigma**2)
-        pu = LangevinParams(eta=0.04, T=0.04, beta=0.7)
-        po = LangevinParams(eta=0.04 * sigma**2, T=0.04 * sigma**2, beta=0.7)
-        rng = np.random.default_rng(17)
+        # generators seeded alike give both chains the same noise
+        rng_u, rng_o = np.random.default_rng(17), np.random.default_rng(17)
         y = np.array([0.5])
         x = sigma * y
         worst = 0.0
         for _ in range(50):
-            xi = rng.standard_normal(1)
-            y = langevin_step(unit, pu, y, xi)
-            x = langevin_step(orig, po, x, xi)
+            y = run_macro_step(unit, y, rng_u, 0.04, 1, beta=0.7)
+            x = run_macro_step(orig, x, rng_o, 0.04 * sigma**2, 1, beta=0.7)
             worst = max(worst, float(np.abs(x - sigma * y).max()))
         return worst <= 1e-9, f"max |x - sigma y| = {worst:.2e} over 50 coupled steps"
 

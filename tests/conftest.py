@@ -1,7 +1,7 @@
 """Shared fixtures: the two desk-scale mixtures used across test modules."""
 import pytest
 
-from stlmc import GaussianMixture
+from stlmc.mixture_target import GaussianMixture
 
 
 @pytest.fixture(scope="session")

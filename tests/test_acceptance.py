@@ -41,7 +41,7 @@ from stlmc.diagnostics import (
     mode_occupancy,
     tv_distance,
 )
-from stlmc.langevin_kernel import LangevinParams, run_macro_step
+from stlmc.langevin_kernel import run_macro_step
 from stlmc.mixture_target import (
     GaussianMixture,
     PerturbedTarget,
@@ -98,10 +98,9 @@ def test_criterion_02_metastability_contrast():
     n_chains = 2000
     steps = budget // n_chains
     assert steps * n_chains <= budget
-    plain = LangevinParams(eta=params.eta, T=steps * params.eta, beta=1.0)
     rng = np.random.default_rng(8)
-    endpoints = run_macro_step(contrast, plain,
-                               np.full((n_chains, 1), -6.0), rng)
+    endpoints = run_macro_step(contrast, np.full((n_chains, 1), -6.0), rng,
+                               params.eta, steps)
     opposite_plain = float((endpoints[:, 0] > 0.0).mean())
     assert opposite_plain < 0.01
 
@@ -287,9 +286,9 @@ def test_criterion_07_structural_inequalities():
     xstar = locate_min(DESK)
     x0 = xstar[None, :] + rng.standard_normal((1000, 1))
     e0 = float(np.mean(np.sum((x0 - xstar) ** 2, axis=1)))
-    lp = LangevinParams(eta=0.1, T=0.5, beta=1.0)
-    sq = np.sum((run_macro_step(DESK, lp, x0, rng) - xstar) ** 2, axis=1)
-    budget = e0 + (4.0 * DESK.D**2 + 2.0 * DESK.d) * lp.T
+    T = 0.5
+    sq = np.sum((run_macro_step(DESK, x0, rng, 0.1, 5) - xstar) ** 2, axis=1)
+    budget = e0 + (4.0 * DESK.D**2 + 2.0 * DESK.d) * T
     se = float(np.std(sq) / math.sqrt(sq.size))
     assert float(np.mean(sq)) <= budget + 3.0 * se
 

@@ -7,13 +7,9 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 
-from stlmc import (
-    BoundViolationError,
+from stlmc.chain_analysis import (
     FiniteChain,
-    GaussianMixture,
-    NonReversibleError,
     Partition,
-    ReducibleChainError,
     build_tempering_chain,
     chain_eigenvalues,
     cheeger_constant,
@@ -34,6 +30,8 @@ from stlmc import (
     tempering_gap_bound_check,
     z_ratio_bound_check,
 )
+from stlmc.errors import BoundViolationError, NonReversibleError, ReducibleChainError
+from stlmc.mixture_target import GaussianMixture
 from stlmc import chain_analysis
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]

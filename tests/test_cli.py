@@ -64,10 +64,41 @@ def test_missing_target_field_is_usage_error(tmp_path, capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
-def test_oversized_step_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["sample", "compare", "estimate-z"])
+def test_oversized_step_is_usage_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path)
-    assert main(["sample", "--config", str(cfg), "--eta", "0.6"]) == 2
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--eta", "0.6"]) == 2
     assert "sigma2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_samples", ["0", "-3"])
+def test_compare_refuses_nonpositive_n_samples_before_sampling(tmp_path, capsys,
+                                                               monkeypatch, n_samples):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "run_main_algorithm", no_run)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(cfg), "--out", str(out),
+                 "--n-samples", n_samples]) == 2
+    assert "n_samples must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_exits_1_when_tempering_fails(tmp_path, capsys):
+    # 20 steps per chain cannot climb the 15-level +-3 ladder, so an
+    # estimation stage runs out of rounds
+    cfg = write_config(tmp_path, target={
+        "weights": [0.5, 0.5], "means": [[-3.0], [3.0]], "sigma2": 1.0,
+    })
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--m", "10",
+                 "--t", "20", "--max-retries", "2"]) == 1
+    assert "failure:" in capsys.readouterr().err
+    assert not (out / "compare.txt").exists()
 
 
 def test_step_beyond_perturbation_curvature_is_usage_error(tmp_path, capsys):

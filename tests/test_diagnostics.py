@@ -47,43 +47,12 @@ def test_histogram_validation():
         empty.masses()
 
 
-def test_histogram_merge_pools_counts():
-    rng = np.random.default_rng(3)
-    a = Histogram.from_samples(rng.normal(size=200), -4.0, 4.0, bins=10)
-    b = Histogram.from_samples(rng.normal(size=300), -4.0, 4.0, bins=10)
-    m = a.merge(b)
-    assert m.total == 500
-    np.testing.assert_array_equal(m.counts, a.counts + b.counts)
-    other = Histogram.from_samples(rng.normal(size=10), -5.0, 4.0, bins=10)
-    with pytest.raises(ValueError, match="different grids"):
-        a.merge(other)
-
-
-def test_histogram_csv_round_trip(tmp_path):
-    h = Histogram.from_samples(np.array([-0.5, 0.2, 0.7, 2.0]), -1.0, 1.0, bins=4)
-    out = tmp_path / "hist.csv"
-    h.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# stlmc histogram v1"
-    assert lines[1] == "# total=4 binned=3"
-    assert lines[2] == "x_lo,x_hi,count"
-    counts = [int(row.split(",")[2]) for row in lines[3:]]
-    assert counts == h.counts.tolist()
-    los = [float(row.split(",")[0]) for row in lines[3:]]
-    np.testing.assert_allclose(los, h.edges()[:-1])
-
-
-def test_histogram_2d_shapes(tmp_path):
+def test_histogram_2d_shapes():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(400, 2))
     h = Histogram.from_samples(pts, [-4.0, -4.0], [4.0, 4.0], bins=6)
     assert h.counts.shape == (6, 6)
     assert h.d == 2
-    out = tmp_path / "hist2.csv"
-    h.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[2] == "x_lo,x_hi,y_lo,y_hi,count"
-    assert len(lines) == 3 + 36
 
 
 def test_default_box_extends_past_modes(desk):

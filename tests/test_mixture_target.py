@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlmc import (
+from stlmc.errors import NonConvergenceError
+from stlmc.mixture_target import (
     GaussianMixture,
-    NonConvergenceError,
     PerturbedTarget,
     SinusoidalPerturbation,
     check_perturbation_bounds,

@@ -7,26 +7,26 @@ import numpy as np
 import pytest
 from scipy.integrate import nquad
 
-from stlmc import (
-    BoundViolationError,
+from stlmc.errors import BoundViolationError, RetriesExhaustedError
+from stlmc.mixture_target import (
     GaussianMixture,
-    PartitionEstimates,
     PerturbedTarget,
-    RetriesExhaustedError,
-    RunParams,
     SinusoidalPerturbation,
+)
+from stlmc.partition_estimator import (
+    PartitionEstimates,
+    _collect_top,
     concentration_check,
     estimate_next_z,
     load_estimates,
     log_partition_quadrature,
-    make_ladder,
     run_main_algorithm,
     sample_exact,
     save_estimates,
 )
+from stlmc.tempering_chain import RunParams, make_ladder
 from stlmc import partition_estimator
 from stlmc.cli import main
-from stlmc.partition_estimator import _collect_top
 
 
 class _NegativeEnergy:

@@ -6,25 +6,24 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from stlmc import (
+from stlmc.errors import NonFiniteGradientError, RetriesExhaustedError
+from stlmc.mixture_target import (
     GaussianMixture,
-    NonFiniteGradientError,
     PerturbedTarget,
-    RetriesExhaustedError,
-    RunParams,
     SinusoidalPerturbation,
+)
+from stlmc.partition_estimator import log_partition_quadrature
+from stlmc.tempering_chain import (
+    RunParams,
     TemperatureLadder,
-    log_partition_quadrature,
+    _chain_step,
+    _level_log_ratio,
     make_ladder,
+    merge_batch_stats,
+    new_batch_stats,
     run_stlmc,
     run_tempering_batch,
     write_trace_csv,
-)
-from stlmc.tempering_chain import (
-    _chain_step,
-    _level_log_ratio,
-    merge_batch_stats,
-    new_batch_stats,
 )
 
 
