@@ -10,6 +10,7 @@ or runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -39,21 +40,12 @@ from .partition_estimator import (
     run_main_algorithm,
     save_estimates,
 )
-from .tempering_chain import RunParams, make_ladder, run_stlmc, write_trace_csv
+from .tempering_chain import RunParams, _coerce, make_ladder, run_stlmc, write_trace_csv
 from .verification import available_suites, run_suites
 
-_RUN_DEFAULTS = {
-    "eta": 0.1,
-    "T": 0.5,
-    "t": 300,
-    "m": None,
-    "seed": None,
-    "max_retries": 100,
-    "c1": 1.0,
-    "c2": 1.0,
-    "proposal_mode": "neighbor",
-    "workers": 1,
-}
+# the run options RunParams gives no default, and the CLI's own option
+_RUN_DEFAULTS = {"eta": 0.1, "T": 0.5, "t": 300, "workers": 1}
+_RUN_KEYS = {f.name for f in dataclasses.fields(RunParams)} | {"workers"}
 
 
 def _load_target(path):
@@ -73,31 +65,22 @@ def _load_target(path):
 
 
 def _merge_run_params(cfg, args, require_seed):
-    """Config 'run' section with CLI flags on top; flags win."""
-    run = dict(_RUN_DEFAULTS)
+    """``(params, workers)`` from the config's run section and the flags; flags win."""
     section = cfg.get("run", {})
-    unknown = set(section) - set(_RUN_DEFAULTS)
+    unknown = set(section) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown run options {sorted(unknown)}")
-    run.update(section)
-    for key in _RUN_DEFAULTS:
+    run = dict(_RUN_DEFAULTS, **section)
+    for key in _RUN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             run[key] = flag
-    if require_seed and run["seed"] is None:
+    if require_seed and run.get("seed") is None:
         raise ConfigError("a seed is required (give --seed or set run.seed)")
-    workers = int(run.pop("workers"))
+    workers = _coerce("workers", int, run.pop("workers"))
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    mode = run.pop("proposal_mode")
-    scales = (float(run.pop("c1")), float(run.pop("c2")))
-    params = RunParams(
-        eta=float(run["eta"]), T=float(run["T"]), t=int(run["t"]),
-        m=None if run["m"] is None else int(run["m"]),
-        seed=None if run["seed"] is None else int(run["seed"]),
-        max_retries=int(run["max_retries"]),
-    )
-    return params, mode, workers, scales
+    return RunParams(**run), workers
 
 
 def _out_dir(args, cfg):
@@ -175,37 +158,36 @@ def _main_run(args, with_samples):
     Reads the config, target, run parameters and, ``with_samples``, the
     sample count, and checks the step size, all before it makes the
     output directory; then runs the main algorithm. Returns
-    ``(cfg, target, params, mode, workers, out, result)``.
+    ``(cfg, target, params, workers, out, result)``.
     """
     cfg, target = _load_target(args.config)
-    params, mode, workers, (c1, c2) = _merge_run_params(cfg, args, require_seed=True)
+    params, workers = _merge_run_params(cfg, args, require_seed=True)
     n_samples = 0
     if with_samples:
-        n_samples = args.n_samples if args.n_samples is not None else int(cfg.get("n_samples", 2000))
+        n_samples = args.n_samples if args.n_samples is not None else cfg.get("n_samples", 2000)
+        n_samples = _coerce("n_samples", int, n_samples)
         if n_samples < 1:
             raise ConfigError(f"n_samples must be positive for {args.command}")
     check_step_size(params.eta, target)
     out = _out_dir(args, cfg)
-    result = run_main_algorithm(target, params, c1=c1, c2=c2, n_samples=n_samples,
-                                proposal_mode=mode, workers=workers)
-    return cfg, target, params, mode, workers, out, result
+    result = run_main_algorithm(target, params, n_samples=n_samples, workers=workers)
+    return cfg, target, params, workers, out, result
 
 
 def cmd_sample(args) -> int:
-    cfg, target, params, mode, workers, out, result = _main_run(args, with_samples=True)
+    cfg, target, params, workers, out, result = _main_run(args, with_samples=True)
     _write_samples_csv(os.path.join(out, "samples.csv"), result.samples)
-    save_estimates(os.path.join(out, "estimates.json"), result.ladder,
-                   result.estimates, params.seed, params)
+    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
 
     lines = [
         "# stlmc sample summary v1",
         f"target: d={target.d} modes={_mode_centers(target).shape[0]} "
         f"sigma2={target.sigma2:.6g} D={target.D:.6g}",
-        f"ladder: L={result.ladder.L} proposal_mode={mode}",
+        f"ladder: L={result.ladder.L} proposal_mode={params.proposal_mode}",
         "betas: " + " ".join(f"{b:.6f}" for b in result.ladder.betas),
         "log_zhat: " + " ".join(f"{v:.6f}" for v in result.estimates.log_zhat),
         f"run: eta={params.eta} T={params.T} t={params.t} "
-        f"m={params.m if params.m is not None else 10 * result.ladder.L**2} "
+        f"m={params.stage_samples(result.ladder.L)} "
         f"seed={params.seed} workers={workers}",
         f"samples: {result.samples.shape[0]}",
         f"gradient evaluations: {result.stats['grad_evals']}",
@@ -227,7 +209,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, target, params, _, _, out, result = _main_run(args, with_samples=True)
+    cfg, target, params, _, out, result = _main_run(args, with_samples=True)
     radius = _mode_radius(args, cfg, target)
     n_chains = result.samples.shape[0]
     budget = result.stats["grad_evals"]
@@ -245,15 +227,14 @@ def cmd_compare(args) -> int:
                 + f" unassigned {rest:.4f}")
         if tv is not None:
             desc += f" tv {tv:.4f}"
-        lines.append(f"{'standard':<32} {method:<15} {desc} grad_evals {grad_evals}")
+        lines.append(f"{method:<15} {desc} grad_evals {grad_evals}")
     _report(out, "compare.txt", lines)
     return 0
 
 
 def cmd_estimate_z(args) -> int:
-    _, target, params, _, _, out, result = _main_run(args, with_samples=False)
-    save_estimates(os.path.join(out, "estimates.json"), result.ladder,
-                   result.estimates, params.seed, params)
+    _, target, params, _, out, result = _main_run(args, with_samples=False)
+    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
     lines = ["# stlmc estimate-z report v1",
              f"L={result.ladder.L} seed={params.seed}"]
     if target.d <= 2:
@@ -279,9 +260,10 @@ def cmd_analyze(args) -> int:
     cfg, target = _load_target(args.config)
     if target.d > 2:
         raise ConfigError("analyze discretizes the generator on a grid and supports d <= 2 only")
-    _, mode, _, (c1, c2) = _merge_run_params(cfg, args, require_seed=False)
+    # configs are shared between commands, so the whole run section is checked
+    params, _ = _merge_run_params(cfg, args, require_seed=False)
     out = _out_dir(args, cfg)
-    ladder = make_ladder(target, c1, c2, proposal_mode=mode)
+    ladder = make_ladder(target, params.c1, params.c2)
     cells = args.cells if args.cells is not None else (400 if target.d == 1 else 40)
     n_modes = _mode_centers(target).shape[0]
     sigma = math.sqrt(target.sigma2)
@@ -338,43 +320,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_required):
+    def add_io(p):
         p.add_argument("--config", help="JSON config file with target and run sections")
         p.add_argument("--out", help="output directory (default: config output_dir or '.')")
-        p.add_argument("--seed", type=int, help="RNG seed"
-                       + (" (required)" if seed_required else ""))
+
+    def add_scales(p):
+        p.add_argument("--c1", type=float, help="first-level temperature scale")
+        p.add_argument("--c2", type=float, help="temperature spacing scale")
+
+    def add_run(p):
+        add_io(p)
+        p.add_argument("--seed", type=int, help="RNG seed (required)")
         p.add_argument("--eta", type=float, help="Langevin step size")
         p.add_argument("--T", type=float, dest="T", help="time interval per macro step")
         p.add_argument("--t", type=int, dest="t", help="tempering steps per chain")
         p.add_argument("--m", type=int, help="samples per estimation stage (default 10 L^2)")
-        p.add_argument("--max-retries", type=int, dest="max_retries")
-        p.add_argument("--c1", type=float, help="first-level temperature scale")
-        p.add_argument("--c2", type=float, help="temperature spacing scale")
-        p.add_argument("--proposal-mode", dest="proposal_mode",
-                       choices=["uniform", "neighbor"])
+        p.add_argument("--max-retries", type=int, dest="max_retries",
+                       help="rounds per stage, and of --trace attempts, before failing")
+        add_scales(p)
+        p.add_argument("--proposal-mode", dest="proposal_mode", help="neighbor or uniform")
         p.add_argument("--workers", type=int, help="parallel replica workers")
+
+    def add_sampling(p):
+        add_run(p)
+        p.add_argument("--n-samples", type=int, dest="n_samples")
         p.add_argument("--bins", type=int, default=100, help="histogram bins per axis")
         p.add_argument("--mode-radius", type=float, dest="mode_radius",
                        help="radius for mode-occupancy reporting")
 
     p = sub.add_parser("sample", help="run the sampler and write samples + estimates")
-    add_common(p, True)
-    p.add_argument("--n-samples", type=int, dest="n_samples")
+    add_sampling(p)
     p.add_argument("--trace", action="store_true",
                    help="also write a single-chain trace.csv")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("compare", help="tempering vs plain Langevin at matched budget")
-    add_common(p, True)
-    p.add_argument("--n-samples", type=int, dest="n_samples")
+    add_sampling(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("estimate-z", help="estimate normalizers only")
-    add_common(p, True)
+    add_run(p)
     p.set_defaults(func=cmd_estimate_z)
 
     p = sub.add_parser("analyze", help="spectral report across the ladder")
-    add_common(p, False)
+    add_io(p)
+    add_scales(p)
     p.add_argument("--cells", type=int, help="grid cells per axis")
     p.set_defaults(func=cmd_analyze)
 

@@ -37,9 +37,9 @@ class NonConvergenceError(RuntimeError):
 class RetriesExhaustedError(RuntimeError):
     """A sampling run never ended at the top temperature level.
 
-    ``attempts`` is the number of restarts used; ``final_levels`` maps
-    each final level reached, numbered from 1, to the number of attempts
-    that ended there.
+    ``attempts`` is the number of rounds of restarts used, the
+    ``max_retries`` budget; ``final_levels`` maps each final level
+    reached, numbered from 1, to the number of chains that ended there.
     """
 
     def __init__(self, attempts, final_levels, message=None):
@@ -47,7 +47,7 @@ class RetriesExhaustedError(RuntimeError):
         self.final_levels = dict(final_levels)
         super().__init__(
             message
-            or f"no accepted sample after {attempts} attempts; "
+            or f"no accepted sample after {attempts} rounds; "
             f"final-level histogram {self.final_levels}"
         )
 

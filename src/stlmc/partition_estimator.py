@@ -10,7 +10,10 @@ round's blocks run as a few wide engine calls, contiguous groups of at
 most 40,960 chain coordinates (chains times d: 4096 chains at d = 10,
 40,960 at d = 1) split so that every worker gets one; a block's results
 do not depend on the group it runs in, so outputs do not depend on how
-many workers execute the round. One process pool serves a whole run.
+many workers execute the round. A stage runs at most
+``params.max_retries`` rounds. One process pool serves a whole run, and
+every run option, the ladder scales and the proposal rule included,
+comes from ``RunParams``.
 """
 from __future__ import annotations
 
@@ -120,28 +123,29 @@ def estimate_next_z(samples, target, beta_l, beta_next, log_zhat_l) -> float:
     return float(log_zhat_l) + log_ratio
 
 
-def _run_group(target, betas, log_zhat, params, proposal_mode, keys):
+def _run_group(target, betas, log_zhat, params, keys):
     """Run one block per spawn key as a single wide engine call."""
     rngs = [np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=key))
             for key in keys]
     st = new_batch_stats(len(betas))
     x, lev = run_tempering_batch(
-        target, betas, log_zhat, _BLOCK * len(keys), params, rngs, proposal_mode, stats=st
+        target, betas, log_zhat, _BLOCK * len(keys), params, rngs, stats=st
     )
     return x, lev, st
 
 
-def _collect_top(target, betas, log_zhat, n_want, params, proposal_mode, stage, workers,
-                 pool=None):
+def _collect_top(target, betas, log_zhat, n_want, params, workers, pool=None):
     """Gather n_want replica endpoints that finished at the top prefix level.
 
-    Round r runs enough blocks for the replicas still missing, in
+    The stage is the prefix length ``len(betas)``. Its round r runs
+    enough blocks for the replicas still missing, in
     contiguous groups of at most ``_GROUP_SIZE`` chains times d (and at
     least one block) and at most ``ceil(blocks / workers)`` blocks,
     mapped over ``pool`` when given.
     Up to ``params.max_retries`` rounds run before giving up.
     """
-    top = len(betas) - 1
+    stage = len(betas)
+    top = stage - 1
     stats = new_batch_stats(len(betas))
     final_levels = np.zeros(len(betas), dtype=np.int64)
     chunks = []
@@ -155,7 +159,7 @@ def _collect_top(target, betas, log_zhat, n_want, params, proposal_mode, stage, 
         per_group = min(max_group, math.ceil(n_blocks / workers))
         groups = [[(stage, rnd, b) for b in range(first, min(first + per_group, n_blocks))]
                   for first in range(0, n_blocks, per_group)]
-        job = partial(_run_group, target, betas, log_zhat, params, proposal_mode)
+        job = partial(_run_group, target, betas, log_zhat, params)
         for x, lev, st in run(job, groups):
             merge_batch_stats(stats, st)
             final_levels += np.bincount(lev, minlength=len(betas))
@@ -174,19 +178,12 @@ def _collect_top(target, betas, log_zhat, n_want, params, proposal_mode, stage, 
     )
 
 
-def run_main_algorithm(
-    target,
-    params: RunParams,
-    c1=1.0,
-    c2=1.0,
-    n_samples=1000,
-    proposal_mode="neighbor",
-    workers=1,
-) -> MainResult:
+def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> MainResult:
     """Build the ladder, estimate all partition ratios, then sample.
 
-    Stage ell runs the tempering chain on the first ell levels with the
-    estimates found so far and collects ``params.m`` (default 10 L^2)
+    The ladder is ``make_ladder(target, params.c1, params.c2)``. Stage
+    ell runs the tempering chain on the first ell levels with the
+    estimates found so far and collects ``params.stage_samples(L)``
     level-ell endpoints to extend the estimates; the final stage
     collects ``n_samples`` top-level points from the full ladder. With
     ``workers > 1`` one process pool serves every stage.
@@ -194,9 +191,9 @@ def run_main_algorithm(
     if params.seed is None:
         raise ValueError("params.seed is required for reproducible runs")
     check_step_size(params.eta, target)
-    ladder = make_ladder(target, c1, c2, proposal_mode)
+    ladder = make_ladder(target, params.c1, params.c2)
     L = ladder.L
-    m = int(params.m) if params.m is not None else 10 * L * L
+    m = params.stage_samples(L)
     lz = [0.0]
     phases = []
     grad_total = 0
@@ -204,8 +201,7 @@ def run_main_algorithm(
         for ell in range(1, L):
             try:
                 xs, st = _collect_top(
-                    target, ladder.betas[:ell], np.asarray(lz), m, params,
-                    proposal_mode, ell, workers, pool,
+                    target, ladder.betas[:ell], np.asarray(lz), m, params, workers, pool
                 )
             except RetriesExhaustedError as exc:
                 raise RetriesExhaustedError(
@@ -220,8 +216,7 @@ def run_main_algorithm(
         estimates = PartitionEstimates(np.asarray(lz))
         if n_samples > 0:
             samples, final_st = _collect_top(
-                target, ladder.betas, estimates.log_zhat, int(n_samples), params,
-                proposal_mode, L, workers, pool,
+                target, ladder.betas, estimates.log_zhat, int(n_samples), params, workers, pool
             )
             grad_total += final_st["grad_evals"]
             phases.append({"stage": L, "chains": final_st["chains"],
@@ -332,20 +327,20 @@ def concentration_check(
 
 
 def save_estimates(path, ladder: TemperatureLadder, estimates: PartitionEstimates,
-                   seed, params: RunParams) -> None:
+                   params: RunParams) -> None:
     """Persist estimates with enough context to resume or audit a run."""
     payload = {
         "format": "stlmc-estimates-v1",
         "betas": [float(b) for b in ladder.betas],
         "log_zhat": [float(v) for v in estimates.log_zhat],
-        "seed": seed,
+        "seed": params.seed,
         "params": {
             "eta": params.eta,
             "T": params.T,
-            "t": int(params.t),
-            "m": None if params.m is None else int(params.m),
-            "max_retries": int(params.max_retries),
-            "proposal_mode": ladder.proposal_mode,
+            "t": params.t,
+            "m": params.m,
+            "max_retries": params.max_retries,
+            "proposal_mode": params.proposal_mode,
         },
     }
     with open(path, "w") as fh:

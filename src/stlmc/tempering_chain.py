@@ -2,8 +2,11 @@
 
 Each step flips a fair coin. Heads runs one Langevin macro-step at the
 current level's inverse temperature (a within-level move); tails
-proposes a level change and accepts it with the Metropolis ratio
-``min(1, exp((beta_k - beta_k') f(x) + log zhat_k - log zhat_k'))``.
+proposes a level change, to a neighbor or to any level as
+``RunParams.proposal_mode`` says, and accepts it with the Metropolis
+ratio ``min(1, exp((beta_k - beta_k') f(x) + log zhat_k - log zhat_k'))``;
+levels carry equal weight (the uniform level prior of Marinari & Parisi
+1992), so the ratio has no weight term.
 Levels are 0-based indices into the ladder, with the top level L - 1 at
 beta = 1, so an accepted run ends at the true target temperature; only
 the trace file, the CLI summary and ``RetriesExhaustedError`` print
@@ -19,8 +22,10 @@ only touches active chains. Its rows may form several blocks, each
 drawing from its own generator: the arithmetic runs once on all rows,
 and each block's results are the same as if it ran alone, so callers
 choose the width of a call apart from how its randomness is split.
-``run_stlmc`` runs restarting attempts as the rows of such a batch and
-records the trace of the chain that reaches the top.
+``run_stlmc`` runs restarting attempts in rounds, as the rows of such
+a batch, and records the trace of the chain that reaches the top.
+Every run option comes from ``RunParams``; ``TemperatureLadder`` holds
+only the inverse temperatures.
 """
 from __future__ import annotations
 
@@ -44,21 +49,18 @@ __all__ = [
 ]
 
 _PROPOSAL_MODES = ("uniform", "neighbor")
-# most attempts run_stlmc puts in one batch, bounding its recorded history
-_TRACE_ROWS = 512
+# attempts per round of run_stlmc; params.max_retries rounds run at most
+_TRACE_ROWS = 100
 
 
 @dataclass(frozen=True)
 class TemperatureLadder:
-    """Strictly increasing inverse temperatures ending at 1, with level weights."""
+    """Strictly increasing inverse temperatures ending at 1; levels carry equal weight."""
 
     betas: np.ndarray
-    rel_weights: np.ndarray
-    proposal_mode: str = "neighbor"
 
     def __post_init__(self):
         b = np.asarray(self.betas, dtype=float)
-        w = np.asarray(self.rel_weights, dtype=float)
         if b.ndim != 1 or b.size == 0:
             raise ValueError("betas must be a non-empty 1-d sequence")
         if np.any(np.diff(b) <= 0):
@@ -67,35 +69,32 @@ class TemperatureLadder:
             raise ValueError(f"last beta must equal 1 (got {b[-1]!r})")
         if b[0] <= 0:
             raise ValueError("betas must be positive")
-        if w.shape != b.shape:
-            raise ValueError("need one relative weight per level")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("rel_weights must be positive and sum to 1")
-        if self.proposal_mode not in _PROPOSAL_MODES:
-            raise ValueError(f"proposal_mode must be one of {_PROPOSAL_MODES}")
         b = b.copy()
-        w = w.copy()
         b.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "betas", b)
-        object.__setattr__(self, "rel_weights", w)
 
     @property
     def L(self) -> int:
         return self.betas.shape[0]
 
-    @property
-    def r(self) -> float:
-        """Weight imbalance min(r_i) / max(r_i)."""
-        return float(self.rel_weights.min() / self.rel_weights.max())
+
+def _coerce(name, kind, value):
+    """``kind(value)``, with a ValueError naming the field when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {kind.__name__} (got {value!r})") from None
 
 
 @dataclass(frozen=True)
 class RunParams:
-    """Chain-run parameters.
+    """The run options: a config's ``run`` section less ``workers``.
 
-    ``m`` is the per-round sample count used when estimating partition
-    ratios; leaving it None selects the default 10 * L^2 at run time.
+    Numeric fields are converted once here: eta, T, c1 and c2 to float;
+    t, max_retries and, when given, m and seed to int. ``m`` is the
+    endpoint count of each estimation stage, ``stage_samples`` picks the
+    default 10 L^2 when it is None. ``c1`` and ``c2`` scale the ladder
+    (``make_ladder``) and ``proposal_mode`` is the level-move rule.
     """
 
     eta: float
@@ -104,33 +103,46 @@ class RunParams:
     m: int | None = None
     seed: int | None = None
     max_retries: int = 100
+    c1: float = 1.0
+    c2: float = 1.0
+    proposal_mode: str = "neighbor"
 
     def __post_init__(self):
+        for name, kind in (("eta", float), ("T", float), ("t", int), ("m", int),
+                           ("seed", int), ("max_retries", int), ("c1", float), ("c2", float)):
+            value = getattr(self, name)
+            if value is not None or name not in ("m", "seed"):
+                object.__setattr__(self, name, _coerce(name, kind, value))
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive (got {self.eta!r})")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError(f"T must be positive (got {self.T!r})")
-        if int(self.t) < 1:
+        if self.t < 1:
             raise ValueError("t must be a positive integer")
-        if self.m is not None and int(self.m) < 1:
+        if self.m is not None and self.m < 1:
             raise ValueError("m must be a positive integer when given")
-        if int(self.max_retries) < 1:
+        if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
+        if self.proposal_mode not in _PROPOSAL_MODES:
+            raise ValueError(f"proposal_mode must be one of {_PROPOSAL_MODES}")
 
     @property
     def steps_per_macro(self) -> int:
         """Langevin steps per within-level move, max(1, round(T / eta))."""
         return max(1, round(self.T / self.eta))
 
+    def stage_samples(self, L: int) -> int:
+        """Endpoints per estimation stage on an L-level ladder: m, or 10 L^2."""
+        return self.m if self.m is not None else 10 * L * L
 
-def make_ladder(target, c1=1.0, c2=1.0, proposal_mode="neighbor") -> TemperatureLadder:
+
+def make_ladder(target, c1=1.0, c2=1.0) -> TemperatureLadder:
     """Arithmetic temperature ladder sized from the target geometry.
 
     The lowest inverse temperature is ``min(1, c1 * sigma2 / D^2)`` and
     the spacing is ``c2 * sigma2 / (D^2 (d + ln(1/w_min)))``, clamped so
     the last level lands exactly on 1. A target with all means at the
     origin (D = 0) is already unimodal and gets the single-level ladder.
-    Relative level weights are uniform.
     """
     if not (c1 > 0 and c2 > 0):
         raise ValueError("c1 and c2 must be positive")
@@ -143,12 +155,7 @@ def make_ladder(target, c1=1.0, c2=1.0, proposal_mode="neighbor") -> Temperature
         betas = [b1]
         while betas[-1] < 1.0:
             betas.append(min(betas[-1] + step, 1.0))
-    L = len(betas)
-    return TemperatureLadder(
-        betas=np.asarray(betas),
-        rel_weights=np.full(L, 1.0 / L),
-        proposal_mode=proposal_mode,
-    )
+    return TemperatureLadder(np.asarray(betas))
 
 
 def new_batch_stats(L: int) -> dict:
@@ -183,8 +190,7 @@ def _level_log_ratio(f_x, k, k_prime, betas, log_zhat):
     return (betas[k] - betas[k_prime]) * f_x + log_zhat[k] - log_zhat[k_prime]
 
 
-def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
-                proposal_mode, stats=None):
+def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats=None):
     """Advance every row of (x, lev) by one tempering step, in place.
 
     Rows form blocks of ``sizes`` rows, block b drawing from ``rngs[b]``
@@ -216,7 +222,7 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
     if idx2.size:
         n_tails = sizes[0] - n_heads
         l2 = lev[idx2]
-        if proposal_mode == "neighbor":
+        if params.proposal_mode == "neighbor":
             flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
             prop = l2 + np.where(flip < 0.5, -1, 1)
             valid = (prop >= 0) & (prop < L)
@@ -245,7 +251,6 @@ def run_tempering_batch(
     n_chains,
     params: RunParams,
     rng,
-    proposal_mode="neighbor",
     stats=None,
     occupancy_burn_in=0,
 ):
@@ -278,8 +283,6 @@ def run_tempering_batch(
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     if not rngs or n_chains % len(rngs):
         raise ValueError("n_chains must split evenly over the block generators")
-    if proposal_mode not in _PROPOSAL_MODES:
-        raise ValueError(f"proposal_mode must be one of {_PROPOSAL_MODES}")
     sizes = [n_chains // len(rngs)] * len(rngs)
     betas = np.asarray(betas, dtype=float)
     log_zhat = np.asarray(log_zhat, dtype=float)
@@ -289,9 +292,8 @@ def run_tempering_batch(
     x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, target.d)))
     x *= math.sqrt(target.sigma2 / betas[0])
     lev = np.zeros(n_chains, dtype=np.int64)
-    for step in range(int(params.t)):
-        _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes,
-                    proposal_mode, stats)
+    for step in range(params.t):
+        _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats)
         if stats is not None and step >= occupancy_burn_in:
             stats["occupancy"] += np.bincount(lev, minlength=L)
     if stats is not None:
@@ -304,42 +306,39 @@ def run_stlmc(target, ladder, log_zhat, params, rng):
 
     Each attempt starts at level 1 from ``N(0, (sigma2 / beta_1) I)``
     and runs ``params.t`` steps; the sample is the endpoint of the first
-    attempt that ends at the top level, out of ``params.max_retries``.
-    The attempts run as the rows of engine batches of at most
-    ``_TRACE_ROWS`` rows, all drawing from ``rng``, and the first row in
-    row order that ends at the top is returned. Attempts are i.i.d., so
-    this has the law of retrying one attempt at a time. The trace lists
-    one row per step of that attempt and of every attempt before it:
-    (step, level, move_type, accepted, x...), with steps numbered
-    1, 2, ... across attempts, levels 1-based, move type 1 (within
-    level) or 2 (level move) and accepted 1 for every within-level move.
+    attempt that ends at the top level. The attempts run in rounds of
+    ``_TRACE_ROWS``, each round the rows of one engine batch drawing
+    from ``rng``, for at most ``params.max_retries`` rounds, and the
+    first row in row order that ends at the top is returned. Attempts
+    are i.i.d., so this has the law of retrying one attempt at a time.
+    The trace lists one row per step of that attempt and of every
+    attempt before it: (step, level, move_type, accepted, x...), with
+    steps numbered 1, 2, ... across attempts, levels 1-based, move type
+    1 (within level) or 2 (level move) and accepted 1 for every
+    within-level move.
 
     Raises
     ------
     RetriesExhaustedError
         When every attempt ends below the top level; the error carries
-        the attempt count and a histogram of 1-based final levels.
+        the round count and a histogram of 1-based final levels.
     """
     check_step_size(params.eta, target)
     log_zhat = np.asarray(log_zhat, dtype=float)
     if log_zhat.shape != (ladder.L,):
         raise ValueError("log_zhat must provide one entry per ladder level")
     betas = ladder.betas
-    t = int(params.t)
-    d = target.d
+    t, n, d = params.t, _TRACE_ROWS, target.d
     trace = []
     final_levels: dict[int, int] = {}
-    done = 0
-    while done < params.max_retries:
-        n = min(_TRACE_ROWS, params.max_retries - done)
+    for _ in range(params.max_retries):
         x = rng.standard_normal((n, d))
         x *= math.sqrt(target.sigma2 / betas[0])
         lev = np.zeros(n, dtype=np.int64)
         moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
         path = np.empty((t, n, d))
         for step in range(t):
-            heads, accepted = _chain_step(target, x, lev, betas, log_zhat, params,
-                                          [rng], [n], ladder.proposal_mode)
+            heads, accepted = _chain_step(target, x, lev, betas, log_zhat, params, [rng], [n])
             moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
             path[step] = x
         top = np.flatnonzero(lev == ladder.L - 1)
@@ -349,7 +348,6 @@ def run_stlmc(target, ladder, log_zhat, params, rng):
             return x[top[0]], trace
         for level, count in zip(*np.unique(lev + 1, return_counts=True)):
             final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
-        done += n
     raise RetriesExhaustedError(params.max_retries, final_levels)
 
 

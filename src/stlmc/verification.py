@@ -121,8 +121,6 @@ def mixture_suite():
                     return False, "spacing above the ladder cap"
             if abs(b[-1] - 1.0) > 1e-12 or np.any(np.diff(b) <= 0):
                 return False, "ladder not increasing to 1"
-            if abs(lad.rel_weights.sum() - 1.0) > 1e-12:
-                return False, "level weights do not sum to 1"
         return True, "100 random mixtures"
 
     _run(checks, "ladder invariants", ladder_invariants)
@@ -336,7 +334,7 @@ def estimator_suite():
         stats = new_batch_stats(ladder.L)
         run_tempering_batch(
             desk, ladder.betas, log_z, 512, params, np.random.default_rng(20),
-            proposal_mode="neighbor", stats=stats, occupancy_burn_in=100,
+            stats=stats, occupancy_burn_in=100,
         )
         occ = stats["occupancy"] / stats["occupancy"].sum()
         dev = float(np.abs(occ - 1.0 / ladder.L).max())

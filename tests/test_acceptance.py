@@ -88,9 +88,8 @@ def test_criterion_02_metastability_contrast():
     # modes far enough apart that unit-temperature Langevin cannot cross
     # within the budget; wider level spacing keeps the ladder short
     contrast = GaussianMixture([0.5, 0.5], [[-6.0], [6.0]], 1.0)
-    params = RunParams(eta=0.1, T=0.5, t=600, m=1500, seed=7)
-    result = run_main_algorithm(contrast, params, c2=4.0,
-                                n_samples=2000, workers=1)
+    params = RunParams(eta=0.1, T=0.5, t=600, m=1500, seed=7, c2=4.0)
+    result = run_main_algorithm(contrast, params, n_samples=2000, workers=1)
     opposite_tempering = float((result.samples[:, 0] > 0.0).mean())
     assert opposite_tempering >= 0.4
 

@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line front end."""
+import inspect
 import json
 import os
 import subprocess
@@ -56,6 +57,34 @@ def test_unknown_run_option_is_usage_error(tmp_path, capsys):
                                       "seed": 5, "step_count": 3})
     assert main(["sample", "--config", str(cfg)]) == 2
     assert "step_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("t", None), ("eta", [0.1]), ("workers", None),
+                                        ("n_samples", None)])
+def test_wrongly_typed_run_value_is_usage_error(tmp_path, capsys, key, value):
+    run = {"eta": 0.1, "T": 0.5, "t": 80, "seed": 5}
+    cfg = (write_config(tmp_path, n_samples=value) if key == "n_samples"
+           else write_config(tmp_path, run=dict(run, **{key: value})))
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--seed", "1"], ["analyze", "--eta", "0.1"],
+                                  ["analyze", "--bins", "5"], ["estimate-z", "--bins", "5"],
+                                  ["estimate-z", "--mode-radius", "1"]])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--config", "cfg.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_run_section_keys_are_run_params_fields_plus_workers():
+    fields = set(inspect.signature(cli.RunParams).parameters)
+    assert cli._RUN_KEYS == fields | {"workers"}
+    assert set(cli._RUN_DEFAULTS) == {"eta", "T", "t", "workers"}
 
 
 def test_missing_target_field_is_usage_error(tmp_path, capsys):
@@ -206,6 +235,8 @@ def test_compare_writes_both_methods(tmp_path, capsys):
     assert "tempering" in report
     assert "plain-langevin" in report
     assert "grad_evals" in report
+    rows = report.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["tempering", "plain-langevin"]
 
 
 FOUR_MODE = {"weights": [0.25] * 4, "sigma2": 1.0,

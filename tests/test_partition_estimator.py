@@ -146,7 +146,7 @@ def test_round_budget_is_max_retries(cheap):
     params = RunParams(eta=0.1, T=0.5, t=10, seed=3, max_retries=2)
     with pytest.raises(RetriesExhaustedError,
                        match="0/10 top-level replicas after 2 rounds") as exc:
-        _collect_top(cheap, betas, np.array([0.0, 60.0]), 10, params, "neighbor", 2, 1)
+        _collect_top(cheap, betas, np.array([0.0, 60.0]), 10, params, 1)
     assert exc.value.attempts == 2
     assert exc.value.final_levels == {1: 2 * 512}
 
@@ -169,7 +169,7 @@ def test_group_cap_follows_chains_times_d(monkeypatch, cheap):
     for cap in (partition_estimator._GROUP_SIZE, 8 * 512):
         monkeypatch.setattr(partition_estimator, "_GROUP_SIZE", cap)
         widths.clear()
-        x, st = _collect_top(cheap, betas, lz, 2000, params, "neighbor", 4, 1)
+        x, st = _collect_top(cheap, betas, lz, 2000, params, 1)
         runs.append((x, st, list(widths)))
     (xa, sa, wa), (xb, sb, wb) = runs
     assert wa[0] == 20 and wb[:3] == [8, 8, 4]
@@ -318,7 +318,7 @@ def test_save_load_estimates_round_trip(tmp_path, cheap):
     est = PartitionEstimates(np.array([0.0, -0.3, -0.6, -0.7]))
     params = RunParams(eta=0.1, T=0.5, t=80, seed=12)
     path = tmp_path / "estimates.json"
-    save_estimates(path, ladder, est, 12, params)
+    save_estimates(path, ladder, est, params)
     payload = load_estimates(path)
     np.testing.assert_allclose(payload["betas"], ladder.betas)
     np.testing.assert_allclose(payload["log_zhat"], est.log_zhat)

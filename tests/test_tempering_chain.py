@@ -34,8 +34,6 @@ def test_make_ladder_desk_closed_form(desk):
     spacing = 1.0 / (9.0 * (1.0 + math.log(2.0)))
     np.testing.assert_allclose(np.diff(ladder.betas)[:-1], spacing, rtol=1e-12)
     assert ladder.betas[-1] == 1.0
-    np.testing.assert_allclose(ladder.rel_weights, 1.0 / 15.0)
-    assert ladder.r == 1.0
 
 
 def test_make_ladder_centered_target_is_single_level():
@@ -65,19 +63,13 @@ def test_make_ladder_invariants_random_mixtures():
             assert b[0] <= c1 * mix.sigma2 / mix.D**2 + 1e-15
             cap = c2 * mix.sigma2 / (mix.D**2 * (mix.d + math.log(1.0 / mix.w_min)))
             assert np.all(np.diff(b) <= cap + 1e-15)
-        assert ladder.rel_weights.sum() == pytest.approx(1.0)
 
 
 def test_ladder_validation():
     with pytest.raises(ValueError):
-        TemperatureLadder(np.array([0.5, 0.4, 1.0]), np.full(3, 1 / 3))
+        TemperatureLadder(np.array([0.5, 0.4, 1.0]))
     with pytest.raises(ValueError):
-        TemperatureLadder(np.array([0.5, 0.9]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        TemperatureLadder(np.array([0.5, 1.0]), np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        TemperatureLadder(np.array([0.5, 1.0]), np.array([0.5, 0.5]),
-                          proposal_mode="sideways")
+        TemperatureLadder(np.array([0.5, 0.9]))
 
 
 def test_type2_accept_prob_values():
@@ -145,7 +137,7 @@ def test_level_flip_rate_with_frozen_point():
 
 def test_run_stlmc_single_level_returns_immediately():
     single = GaussianMixture([1.0], [[0.0]], 1.0)
-    ladder = TemperatureLadder(np.array([1.0]), np.array([1.0]))
+    ladder = TemperatureLadder(np.array([1.0]))
     params = RunParams(eta=0.1, T=0.5, t=25)
     x, trace = run_stlmc(single, ladder, np.zeros(1), params, np.random.default_rng(1))
     assert x.shape == (1,)
@@ -158,27 +150,41 @@ def test_run_stlmc_single_level_returns_immediately():
 
 def test_run_stlmc_retries_exhausted():
     desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
-    ladder = TemperatureLadder(np.array([1.0 / 9.0, 1.0]), np.array([0.5, 0.5]))
+    ladder = TemperatureLadder(np.array([1.0 / 9.0, 1.0]))
     # a wildly wrong normalizer estimate suppresses moves to the top level
     lz = np.array([0.0, 60.0])
     params = RunParams(eta=0.1, T=0.5, t=10, max_retries=4)
     with pytest.raises(RetriesExhaustedError) as exc:
         run_stlmc(desk, ladder, lz, params, np.random.default_rng(0))
+    # four rounds of 100 attempts
     assert exc.value.attempts == 4
-    assert exc.value.final_levels == {1: 4}
+    assert exc.value.final_levels == {1: 400}
 
 
 def test_run_stlmc_retries_exhausted_across_batches(monkeypatch):
-    # four attempts in batches of at most three rows: the final-level
-    # histogram adds up over the batches
+    # four rounds of three attempts each: the final-level histogram adds
+    # up over the rounds
     monkeypatch.setattr("stlmc.tempering_chain._TRACE_ROWS", 3)
     desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
-    ladder = TemperatureLadder(np.array([1.0 / 9.0, 1.0]), np.array([0.5, 0.5]))
+    ladder = TemperatureLadder(np.array([1.0 / 9.0, 1.0]))
     params = RunParams(eta=0.1, T=0.5, t=10, max_retries=4)
     with pytest.raises(RetriesExhaustedError) as exc:
         run_stlmc(desk, ladder, np.array([0.0, 60.0]), params, np.random.default_rng(0))
     assert exc.value.attempts == 4
-    assert exc.value.final_levels == {1: 4}
+    assert exc.value.final_levels == {1: 12}
+
+
+def test_run_stlmc_budget_counts_rounds(desk):
+    # at exact normalizers on the +-3 desk, all of the first 100 attempts
+    # of this trace stream end below the top; the 108th reaches it
+    ladder = make_ladder(desk)
+    lz = log_partition_quadrature(desk, ladder.betas)
+    params = RunParams(eta=0.1, T=0.5, t=300)
+    rng = np.random.default_rng(np.random.SeedSequence(171, spawn_key=(1_000_000,)))
+    x, trace = run_stlmc(desk, ladder, lz - lz[0], params, rng)
+    assert len(trace) == 108 * params.t
+    assert trace[-1][1] == ladder.L
+    np.testing.assert_array_equal(x, trace[-1][4:])
 
 
 def test_run_stlmc_validates_log_zhat_length(desk):
@@ -279,12 +285,12 @@ def test_batch_stats_accounting(cheap):
 
 
 def test_uniform_proposal_reaches_all_levels(cheap):
-    ladder = make_ladder(cheap, proposal_mode="uniform")
-    params = RunParams(eta=0.1, T=0.5, t=40)
+    ladder = make_ladder(cheap)
+    params = RunParams(eta=0.1, T=0.5, t=40, proposal_mode="uniform")
     stats = new_batch_stats(ladder.L)
     run_tempering_batch(
         cheap, ladder.betas, np.zeros(ladder.L), 200, params,
-        np.random.default_rng(10), proposal_mode="uniform", stats=stats,
+        np.random.default_rng(10), stats=stats,
     )
     off = np.abs(np.subtract.outer(np.arange(ladder.L), np.arange(ladder.L)))
     assert stats["proposals"][off > 1].sum() > 0
@@ -299,7 +305,7 @@ def test_batch_blocks_are_width_invariant(mode, block):
     target = GaussianMixture(rng.dirichlet(np.ones(4)), 2.0 * rng.standard_normal((4, 10)), 1.0)
     betas = np.array([0.2, 0.45, 0.7, 1.0])
     lz = np.array([0.0, -0.6, -1.1, -1.4])
-    params = RunParams(eta=0.1, T=0.5, t=30)
+    params = RunParams(eta=0.1, T=0.5, t=30, proposal_mode=mode)
 
     def gen(b):
         return np.random.default_rng(np.random.SeedSequence(7, spawn_key=(b,)))
@@ -307,9 +313,9 @@ def test_batch_blocks_are_width_invariant(mode, block):
     for k in (1, 3, 8):
         wide_stats = new_batch_stats(4)
         x, lev = run_tempering_batch(target, betas, lz, k * block, params,
-                                     [gen(b) for b in range(k)], mode, stats=wide_stats)
+                                     [gen(b) for b in range(k)], stats=wide_stats)
         one_stats = new_batch_stats(4)
-        parts = [run_tempering_batch(target, betas, lz, block, params, gen(b), mode,
+        parts = [run_tempering_batch(target, betas, lz, block, params, gen(b),
                                      stats=one_stats) for b in range(k)]
         np.testing.assert_array_equal(x, np.concatenate([p[0] for p in parts]))
         np.testing.assert_array_equal(lev, np.concatenate([p[1] for p in parts]))
@@ -318,7 +324,7 @@ def test_batch_blocks_are_width_invariant(mode, block):
         assert wide_stats["grad_evals"] == one_stats["grad_evals"]
         assert wide_stats["chains"] == one_stats["chains"] == k * block
     with pytest.raises(ValueError, match="split evenly"):
-        run_tempering_batch(target, betas, lz, 10, params, [gen(0), gen(1), gen(2)], mode)
+        run_tempering_batch(target, betas, lz, 10, params, [gen(0), gen(1), gen(2)])
 
 
 def test_batch_divergence_raises_non_finite_gradient(cheap):
@@ -368,7 +374,7 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
     # proposal, and count proposals and accepts pair by pair with np.add.at
     ladder = make_ladder(cheap)
     L = ladder.L
-    params = RunParams(eta=0.1, T=0.5, t=1)
+    params = RunParams(eta=0.1, T=0.5, t=1, proposal_mode=mode)
     K = round(params.T / params.eta)
     lz = np.array([0.0, -0.3, -0.5, -0.6])[:L]
     rng = np.random.default_rng(12)
@@ -392,8 +398,7 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
             prop = replay.integers(0, L, old.size)
         valid = (prop >= 0) & (prop < L)
         np.add.at(want_prop, (old[valid], prop[valid]), 1)
-        _, accepted = _chain_step(cheap, x, lev, ladder.betas, lz, params, [rng], [n],
-                                  mode, stats)
+        _, accepted = _chain_step(cheap, x, lev, ladder.betas, lz, params, [rng], [n], stats)
         np.add.at(want_acc, (before[accepted], lev[accepted]), 1)
     assert want_acc.sum() > 0
     np.testing.assert_array_equal(stats["proposals"], want_prop)
@@ -401,7 +406,7 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
 
 
 def test_write_trace_csv(tmp_path, desk):
-    ladder = TemperatureLadder(np.array([1.0]), np.array([1.0]))
+    ladder = TemperatureLadder(np.array([1.0]))
     params = RunParams(eta=0.1, T=0.5, t=5)
     _, trace = run_stlmc(desk, ladder, np.zeros(1), params, np.random.default_rng(3))
     path = tmp_path / "trace.csv"
@@ -426,3 +431,32 @@ def test_run_params_validation():
         RunParams(eta=0.1, T=0.5, t=10, m=0)
     with pytest.raises(ValueError):
         RunParams(eta=0.1, T=0.5, t=10, max_retries=0)
+    with pytest.raises(ValueError, match="proposal_mode"):
+        RunParams(eta=0.1, T=0.5, t=10, proposal_mode="sideways")
+
+
+def test_run_params_convert_once():
+    # a config's run section may hold 1 for 1.0 or "300" for 300
+    p = RunParams(eta="0.1", T=1, t="300", m=50.0, seed=np.int64(7), max_retries=3.0,
+                  c1=1, c2="2")
+    assert (p.eta, p.T, p.t, p.m, p.seed, p.max_retries, p.c1, p.c2) == (
+        0.1, 1.0, 300, 50, 7, 3, 1.0, 2.0)
+    assert [type(v) for v in (p.eta, p.T, p.c1, p.c2)] == [float] * 4
+    assert [type(v) for v in (p.t, p.m, p.seed, p.max_retries)] == [int] * 4
+    q = RunParams(eta=0.1, T=0.5, t=10)
+    assert (q.m, q.seed, q.c1, q.c2, q.proposal_mode) == (None, None, 1.0, 1.0, "neighbor")
+
+
+@pytest.mark.parametrize("field, value", [("t", None), ("eta", [0.1]), ("T", "fast"),
+                                          ("max_retries", None), ("c2", {}),
+                                          ("m", float("inf"))])
+def test_run_params_wrong_type_names_the_field(field, value):
+    kwargs = dict(eta=0.1, T=0.5, t=10)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        RunParams(**kwargs)
+
+
+def test_stage_samples_defaults_to_ten_l_squared():
+    assert RunParams(eta=0.1, T=0.5, t=10).stage_samples(15) == 2250
+    assert RunParams(eta=0.1, T=0.5, t=10, m=50).stage_samples(15) == 50
