@@ -8,22 +8,25 @@ machinery behind the sampler numerically: two-sided Cheeger bounds, the
 gap-product inequality for a partitioned chain, the tempering gap lower
 bounds driven by the overlap of adjacent-level densities, and the
 eigenvalue-gap phenomenon of multimodal Langevin generators.
+scipy's linear-algebra and sparse stacks are imported inside the
+functions that use them, so importing this module loads neither; each
+loads on its first call.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh, expm
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import eigsh
-from scipy.sparse.csgraph import connected_components
 
 from .diagnostics import chi_sq_divergence
 from .errors import BoundViolationError, NonReversibleError, ReducibleChainError
 from .partition_estimator import log_partition_quadrature
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "FiniteChain",
@@ -57,6 +60,9 @@ _CHEEGER_CHUNK = 2**11
 
 
 def _closed_classes(P):
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(csr_array(P > 0), directed=True, connection="strong")
     closed = []
     for c in range(n_comp):
@@ -175,6 +181,8 @@ def chain_eigenvalues(chain: FiniteChain):
         raise NonReversibleError("eigen-analysis requires a reversible chain")
     if chain.n == 1:
         return np.array([0.0])
+    from scipy.linalg import eigh
+
     s = np.sqrt(chain.p)
     A = (s[:, None] * chain.P) / s[None, :]
     A = 0.5 * (A + A.T)
@@ -254,6 +262,8 @@ def cheeger_constant(chain: FiniteChain) -> float:
                 cut = ((B @ Q) * (1.0 - B)).sum(axis=1)
                 best = min(best, float((cut / pS[small]).min()))
         return float(best)
+    from scipy.linalg import eigh
+
     s = np.sqrt(p)
     A = (s[:, None] * chain.P) / s[None, :]
     A = 0.5 * (A + A.T)
@@ -513,6 +523,10 @@ class DiscretizedGenerator:
         a fixed start vector so that repeated solves agree to the bit;
         the full spectrum, or k >= n - 1, from dense ``eigh``.
         """
+        from scipy.linalg import eigh
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import eigsh
+
         s = np.sqrt(self.weights)
         G = self.generator.tocoo()
         A = csr_array((s[G.row] * -G.data / s[G.col], (G.row, G.col)), shape=G.shape)
@@ -532,6 +546,8 @@ class DiscretizedGenerator:
 
     def to_chain(self, T=1.0) -> FiniteChain:
         """Discrete-time chain exp(T * generator), computed densely."""
+        from scipy.linalg import expm
+
         return FiniteChain(expm(self.generator.toarray() * float(T)), stationary=self.weights)
 
 
@@ -555,6 +571,8 @@ def discretize_langevin_generator(target, beta, R, n_cells) -> DiscretizedGenera
         raise ValueError("need at least 2 cells per axis")
     if n_cells**d > 2000:
         raise ValueError(f"{n_cells**d} states exceed the grid-state cap of 2000")
+    from scipy.sparse import csr_array
+
     h = 2.0 * R / n_cells
     axis = -R + h * (np.arange(n_cells) + 0.5)
     if d == 1:

@@ -32,6 +32,7 @@ from .errors import (
     NonConvergenceError,
     NonFiniteGradientError,
     RetriesExhaustedError,
+    _coerce,
 )
 from .langevin_kernel import check_step_size, run_macro_step
 from .mixture_target import GaussianMixture, PerturbedTarget, target_from_config
@@ -40,7 +41,7 @@ from .partition_estimator import (
     run_main_algorithm,
     save_estimates,
 )
-from .tempering_chain import RunParams, _coerce, make_ladder, run_stlmc, write_trace_csv
+from .tempering_chain import RunParams, make_ladder, run_stlmc, write_trace_csv
 from .verification import available_suites, run_suites
 
 # the run options RunParams gives no default, and the CLI's own option
@@ -67,6 +68,8 @@ def _load_target(path):
 def _merge_run_params(cfg, args, require_seed):
     """``(params, workers)`` from the config's run section and the flags; flags win."""
     section = cfg.get("run", {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"the run section must be a JSON object (got {section!r})")
     unknown = set(section) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown run options {sorted(unknown)}")
@@ -83,9 +86,22 @@ def _merge_run_params(cfg, args, require_seed):
     return RunParams(**run), workers
 
 
-def _out_dir(args, cfg):
+def _out_path(args, cfg):
+    """The output directory, refused when it cannot be made; made by the caller.
+
+    A command makes it only once its computation has succeeded, so a
+    failed run leaves nothing behind.
+    """
     out = args.out or cfg.get("output_dir") or "."
-    os.makedirs(out, exist_ok=True)
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string (got {out!r})")
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot use output directory {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot use output directory {out}: {existing} is not writable")
     return out
 
 
@@ -155,10 +171,10 @@ def _measure(target, samples, radius, bins):
 def _main_run(args, with_samples):
     """The part of sample, compare and estimate-z before their reports.
 
-    Reads the config, target, run parameters and, ``with_samples``, the
-    sample count, and checks the step size, all before it makes the
-    output directory; then runs the main algorithm. Returns
-    ``(cfg, target, params, workers, out, result)``.
+    Reads the config, target, run parameters, output path and, ``with_samples``,
+    the sample count, and checks the step size; then runs the main
+    algorithm. Returns ``(cfg, target, params, workers, out, result)``;
+    the caller makes ``out`` once its own computation has succeeded.
     """
     cfg, target = _load_target(args.config)
     params, workers = _merge_run_params(cfg, args, require_seed=True)
@@ -169,16 +185,13 @@ def _main_run(args, with_samples):
         if n_samples < 1:
             raise ConfigError(f"n_samples must be positive for {args.command}")
     check_step_size(params.eta, target)
-    out = _out_dir(args, cfg)
+    out = _out_path(args, cfg)
     result = run_main_algorithm(target, params, n_samples=n_samples, workers=workers)
     return cfg, target, params, workers, out, result
 
 
 def cmd_sample(args) -> int:
     cfg, target, params, workers, out, result = _main_run(args, with_samples=True)
-    _write_samples_csv(os.path.join(out, "samples.csv"), result.samples)
-    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
-
     lines = [
         "# stlmc sample summary v1",
         f"target: d={target.d} modes={_mode_centers(target).shape[0]} "
@@ -199,11 +212,15 @@ def cmd_sample(args) -> int:
                  + " ".join(f"{v:.4f}" for v in frac) + f"  unassigned {rest:.4f}")
     lines.append("TV distance: skipped (d > 2)" if tv is None
                  else f"TV distance vs quadrature density ({args.bins} bins): {tv:.4f}")
-    _report(out, "summary.txt", lines)
-
     if args.trace:
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(1_000_000,)))
         _, trace = run_stlmc(target, result.ladder, result.estimates.log_zhat, params, rng)
+
+    os.makedirs(out, exist_ok=True)
+    _write_samples_csv(os.path.join(out, "samples.csv"), result.samples)
+    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
+    _report(out, "summary.txt", lines)
+    if args.trace:
         write_trace_csv(os.path.join(out, "trace.csv"), trace, target.d)
     return 0
 
@@ -228,13 +245,13 @@ def cmd_compare(args) -> int:
         if tv is not None:
             desc += f" tv {tv:.4f}"
         lines.append(f"{method:<15} {desc} grad_evals {grad_evals}")
+    os.makedirs(out, exist_ok=True)
     _report(out, "compare.txt", lines)
     return 0
 
 
 def cmd_estimate_z(args) -> int:
     _, target, params, _, out, result = _main_run(args, with_samples=False)
-    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
     lines = ["# stlmc estimate-z report v1",
              f"L={result.ladder.L} seed={params.seed}"]
     if target.d <= 2:
@@ -252,6 +269,8 @@ def cmd_estimate_z(args) -> int:
                   for lvl, (b, lz) in enumerate(
                       zip(result.ladder.betas, result.estimates.log_zhat), 1)]
         lines.append("quadrature comparison skipped (d > 2)")
+    os.makedirs(out, exist_ok=True)
+    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
     _report(out, "estimate_z.txt", lines)
     return 0
 
@@ -262,7 +281,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyze discretizes the generator on a grid and supports d <= 2 only")
     # configs are shared between commands, so the whole run section is checked
     params, _ = _merge_run_params(cfg, args, require_seed=False)
-    out = _out_dir(args, cfg)
+    out = _out_path(args, cfg)
     ladder = make_ladder(target, params.c1, params.c2)
     cells = args.cells if args.cells is not None else (400 if target.d == 1 else 40)
     n_modes = _mode_centers(target).shape[0]
@@ -288,6 +307,7 @@ def cmd_analyze(args) -> int:
         for i, (ratio, lower) in enumerate(zip(ratios, lowers), 1):
             lines.append(f"  {i}->{i + 1}: ratio={ratio:.4f} lower={lower:.4e} "
                          f"margin={ratio / lower:.1f}x")
+    os.makedirs(out, exist_ok=True)
     _report(out, "analyze.txt", lines)
     return 0
 

@@ -1,5 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field converter that raises them."""
 from __future__ import annotations
+
+
+def _coerce(name, kind, value):
+    """``kind(value)``, with a ValueError naming the field when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {kind.__name__} (got {value!r})") from None
 
 
 class ConfigError(ValueError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, _coerce
 
 __all__ = [
     "GaussianMixture",
@@ -393,28 +393,39 @@ def check_perturbation_bounds(target: PerturbedTarget, n_points=10_000, rng=None
 
 
 def target_from_config(config: dict):
-    """Build a target from a config mapping.
+    """Build a target from a config's ``target`` section.
 
     Expected fields: ``weights``, ``means``, ``sigma2`` and optionally
-    ``perturbation`` with ``amplitude`` and ``scale``.
+    ``perturbation`` with ``amplitude`` and ``scale``. A section that is
+    not a mapping, or a field that does not convert to floats, raises a
+    ValueError naming it.
     """
+    if not isinstance(config, dict):
+        raise ValueError(f"the target section must be a JSON object (got {config!r})")
+
+    def floats(value):
+        return np.asarray(value, dtype=float)
+
     try:
-        mix = GaussianMixture(
-            weights=np.asarray(config["weights"], dtype=float),
-            means=np.asarray(config["means"], dtype=float),
-            sigma2=float(config["sigma2"]),
-        )
+        weights, means, sigma2 = config["weights"], config["means"], config["sigma2"]
     except KeyError as exc:
         raise ValueError(f"target config missing field {exc.args[0]!r}") from None
+    mix = GaussianMixture(
+        weights=_coerce("target.weights", floats, weights),
+        means=_coerce("target.means", floats, means),
+        sigma2=_coerce("target.sigma2", float, sigma2),
+    )
     pert = config.get("perturbation")
     if pert is None:
         return mix
+    if not isinstance(pert, dict):
+        raise ValueError(f"the perturbation section must be a JSON object (got {pert!r})")
     if "amplitude" not in pert:
         raise ValueError("perturbation config requires an 'amplitude' field")
     return PerturbedTarget(
         mix,
         SinusoidalPerturbation(
-            amplitude=float(pert["amplitude"]),
-            scale=float(pert.get("scale", 1.0)),
+            amplitude=_coerce("perturbation.amplitude", float, pert["amplitude"]),
+            scale=_coerce("perturbation.scale", float, pert.get("scale", 1.0)),
         ),
     )

@@ -13,7 +13,9 @@ do not depend on the group it runs in, so outputs do not depend on how
 many workers execute the round. A stage runs at most
 ``params.max_retries`` rounds. One process pool serves a whole run, and
 every run option, the ladder scales and the proposal rule included,
-comes from ``RunParams``.
+comes from ``RunParams``. The d <= 2 quadrature oracle imports
+``scipy.integrate`` on its first call, so a sampling run, and every
+pool worker it forks, loads only numpy and ``scipy.special``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import cubature
 from scipy.special import logsumexp
 
 from .errors import BoundViolationError, RetriesExhaustedError
@@ -279,6 +280,8 @@ def log_partition_quadrature(target, beta):
     """
     if target.d > 2:
         raise ValueError("quadrature oracle supports d <= 2 only")
+    from scipy.integrate import cubature
+
     betas = np.asarray(beta, dtype=float)
     R = target.D + 8.0 * math.sqrt(target.sigma2)
     rtol = 1e-10

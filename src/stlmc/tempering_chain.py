@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RetriesExhaustedError
+from .errors import RetriesExhaustedError, _coerce
 from .langevin_kernel import _updates, check_step_size
 
 __all__ = [
@@ -76,14 +76,6 @@ class TemperatureLadder:
     @property
     def L(self) -> int:
         return self.betas.shape[0]
-
-
-def _coerce(name, kind, value):
-    """``kind(value)``, with a ValueError naming the field when that fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be {kind.__name__} (got {value!r})") from None
 
 
 @dataclass(frozen=True)

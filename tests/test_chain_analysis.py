@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy import sparse
 from scipy.linalg import eigh
 
@@ -529,8 +530,8 @@ def _dense_spectrum(gen):
 
 def test_eigenvalue_paths_match_dense_eigh(monkeypatch):
     calls = []
-    eigsh = chain_analysis.eigsh
-    monkeypatch.setattr(chain_analysis, "eigsh",
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh",
                         lambda *a, **kw: calls.append(kw["k"]) or eigsh(*a, **kw))
     four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
     big = discretize_langevin_generator(four, 1.0, 9.0, 20)

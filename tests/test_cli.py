@@ -87,6 +87,51 @@ def test_run_section_keys_are_run_params_fields_plus_workers():
     assert set(cli._RUN_DEFAULTS) == {"eta", "T", "t", "workers"}
 
 
+@pytest.mark.parametrize("section, value, named", [
+    ("run", None, "run section"), ("run", [], "run section"), ("run", "ab", "run section"),
+    ("target", None, "target section"), ("target", [], "target section"),
+    ("target", "x", "target section"),
+    ("perturbation", 3, "perturbation section"),
+    ("perturbation", {"amplitude": None}, "perturbation.amplitude"),
+    ("output_dir", 3, "output_dir"),
+])
+def test_malformed_config_section_is_usage_error(tmp_path, capsys, section, value, named):
+    out = tmp_path / "o"
+    if section == "perturbation":
+        target = {"weights": [1.0], "means": [[0.0]], "sigma2": 1.0, "perturbation": value}
+        cfg = write_config(tmp_path, target=target, output_dir=str(out))
+    else:
+        cfg = write_config(tmp_path, **dict({"output_dir": str(out)}, **{section: value}))
+    assert main(["analyze", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_unusable_out_is_refused_up_front(tmp_path, capsys, monkeypatch, out):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "run_main_algorithm", no_run)
+    (tmp_path / "afile").write_text("")
+    cfg = write_config(tmp_path)
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    assert "afile is not a directory" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
+    # on the +-3 desk, 20 steps per chain and one round per stage run
+    # out at stage 9
+    cfg = write_config(tmp_path, target={
+        "weights": [0.5, 0.5], "means": [[-3.0], [3.0]], "sigma2": 1.0,
+    })
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--out", str(out), "--m", "10",
+                 "--t", "20", "--max-retries", "1", "--seed", "1"]) == 1
+    assert "failure:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_target_field_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, target={"weights": [1.0], "means": [[0.0]]})
     assert main(["sample", "--config", str(cfg)]) == 2
@@ -271,3 +316,32 @@ def test_analyze_checks_the_ladder_in_one_call(tmp_path, monkeypatch):
                  "--cells", "20"]) == 0
     report = (tmp_path / "an" / "analyze.txt").read_text()
     assert calls == [12] and "12->13: ratio=" in report
+
+
+def test_sampling_loads_no_deferred_scipy_stack(tmp_path):
+    # a fresh interpreter, since this one has loaded every stack already;
+    # a sample run with --trace needs numpy and scipy.special only, and
+    # analyze then loads what it uses on its first call
+    cfg = write_config(tmp_path)
+    script = f"""
+import importlib, pkgutil, sys
+import stlmc
+for mod in pkgutil.iter_modules(stlmc.__path__):
+    importlib.import_module("stlmc." + mod.name)
+from stlmc import cli
+assert cli.main(["sample", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "s")!r},
+                 "--m", "20", "--t", "40", "--trace"]) == 0
+deferred = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+loaded = [name for name in deferred if name in sys.modules]
+assert not loaded, f"sample loaded {{loaded}}"
+assert cli.main(["analyze", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "a")!r},
+                 "--cells", "50"]) == 0
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s" / "trace.csv").exists()
+    assert (tmp_path / "a" / "analyze.txt").exists()
