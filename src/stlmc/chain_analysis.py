@@ -236,45 +236,27 @@ def conductance(chain: FiniteChain, subset) -> float:
 def cheeger_constant(chain: FiniteChain) -> float:
     """Minimum conductance over subsets with at most half the mass.
 
-    Exhaustive for n <= 20: the subsets are enumerated as bitmasks in
-    blocks of ``_CHEEGER_CHUNK``, each block as a 0/1 membership matrix
-    B with masses ``B @ p`` and cuts summed from the non-negative terms
-    of ``(B @ Q) * (1 - B)``, so a disconnected chain gives exactly 0.
-    Above that the value comes from sweep cuts of the second
-    eigenfunction, which only upper-bounds the true constant; callers
-    needing exactness should stay small.
+    Exhaustive over 2 to 20 states, and refused with ``ValueError``
+    otherwise: bitmask subsets in blocks of ``_CHEEGER_CHUNK``, each a 0/1
+    membership matrix B with masses ``B @ p`` and cuts summed from the
+    non-negative terms of ``(B @ Q) * (1 - B)``, so 0 for a disconnected chain.
     """
     n = chain.n
-    if n < 2:
-        raise ValueError("cheeger constant needs at least two states")
+    if not 2 <= n <= 20:
+        raise ValueError(f"cheeger constant needs 2 to 20 states, got {n}")
     Q = chain.flow()
     p = chain.p
-    if n <= 20:
-        best = math.inf
-        bits = np.arange(n)
-        for start in range(1, 2**n - 1, _CHEEGER_CHUNK):
-            masks = np.arange(start, min(start + _CHEEGER_CHUNK, 2**n - 1))
-            B = ((masks[:, None] >> bits) & 1).astype(float)
-            pS = B @ p
-            small = pS <= 0.5 + 1e-12
-            if small.any():
-                B = B[small]
-                cut = ((B @ Q) * (1.0 - B)).sum(axis=1)
-                best = min(best, float((cut / pS[small]).min()))
-        return float(best)
-    from scipy.linalg import eigh
-
-    s = np.sqrt(p)
-    A = (s[:, None] * chain.P) / s[None, :]
-    A = 0.5 * (A + A.T)
-    _, vecs = eigh(A)
-    order = np.argsort(vecs[:, -2] / s)
     best = math.inf
-    for k in range(1, n):
-        idx = order[:k]
-        pS = p[idx].sum()
-        sub = idx if pS <= 0.5 else order[k:]
-        best = min(best, conductance(chain, sub))
+    bits = np.arange(n)
+    for start in range(1, 2**n - 1, _CHEEGER_CHUNK):
+        masks = np.arange(start, min(start + _CHEEGER_CHUNK, 2**n - 1))
+        B = ((masks[:, None] >> bits) & 1).astype(float)
+        pS = B @ p
+        small = pS <= 0.5 + 1e-12
+        if small.any():
+            B = B[small]
+            cut = ((B @ Q) * (1.0 - B)).sum(axis=1)
+            best = min(best, float((cut / pS[small]).min()))
     return float(best)
 
 

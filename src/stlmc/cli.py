@@ -139,7 +139,7 @@ def _occupancy_lines(stats, L):
     lines = []
     if occ.sum() > 0:
         frac = occ / occ.sum()
-        lines.append("level occupancy (final stage, after burn-in):")
+        lines.append("level occupancy (final stage, every step from the level-1 start):")
         lines.append("  " + " ".join(f"{v:.4f}" for v in frac))
     prop = stats["proposals"]
     acc = stats["accepts"]
@@ -205,7 +205,7 @@ def cmd_sample(args) -> int:
         f"samples: {result.samples.shape[0]}",
         f"gradient evaluations: {result.stats['grad_evals']}",
     ]
-    lines += _occupancy_lines(result.stats, result.ladder.L)
+    lines += _occupancy_lines(result.stats["phases"][-1], result.ladder.L)
     radius = _mode_radius(args, cfg, target)
     frac, rest, tv = _measure(target, result.samples, radius, args.bins)
     lines.append(f"mode fractions (radius {radius:.3g}): "
@@ -254,21 +254,18 @@ def cmd_estimate_z(args) -> int:
     _, target, params, _, out, result = _main_run(args, with_samples=False)
     lines = ["# stlmc estimate-z report v1",
              f"L={result.ladder.L} seed={params.seed}"]
+    betas, log_zhat = result.ladder.betas, result.estimates.log_zhat
+    cols = [""] * result.ladder.L
+    tail = "quadrature comparison skipped (d > 2)"
     if target.d <= 2:
-        log_z = log_partition_quadrature(target, result.ladder.betas)
-        worst = 0.0
-        for lvl, (b, lz, truth) in enumerate(
-                zip(result.ladder.betas, result.estimates.log_zhat, log_z - log_z[0]), 1):
-            dev = lz - truth
-            worst = max(worst, abs(dev))
-            lines.append(f"level {lvl}: beta={b:.6f} log_zhat={lz:+.6f} "
-                         f"quadrature={truth:+.6f} deviation={dev:+.6f}")
-        lines.append(f"max |deviation| = {worst:.6f}")
-    else:
-        lines += [f"level {lvl}: beta={b:.6f} log_zhat={lz:+.6f}"
-                  for lvl, (b, lz) in enumerate(
-                      zip(result.ladder.betas, result.estimates.log_zhat), 1)]
-        lines.append("quadrature comparison skipped (d > 2)")
+        log_z = log_partition_quadrature(target, betas)
+        truth = log_z - log_z[0]
+        dev = log_zhat - truth
+        cols = [f" quadrature={q:+.6f} deviation={e:+.6f}" for q, e in zip(truth, dev)]
+        tail = f"max |deviation| = {np.abs(dev).max():.6f}"
+    lines += [f"level {lvl}: beta={b:.6f} log_zhat={lz:+.6f}{col}"
+              for lvl, (b, lz, col) in enumerate(zip(betas, log_zhat, cols), 1)]
+    lines.append(tail)
     os.makedirs(out, exist_ok=True)
     save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
     _report(out, "estimate_z.txt", lines)

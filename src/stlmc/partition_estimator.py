@@ -84,6 +84,11 @@ class PartitionEstimates:
 
 @dataclass
 class MainResult:
+    """A run's output. ``stats["phases"][i]`` is stage i + 1's batch stats,
+    the final sampling stage last when ``n_samples`` > 0, and
+    ``stats["grad_evals"]`` is the run's total.
+    """
+
     samples: np.ndarray
     estimates: PartitionEstimates
     ladder: TemperatureLadder
@@ -186,8 +191,9 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     ell runs the tempering chain on the first ell levels with the
     estimates found so far and collects ``params.stage_samples(L)``
     level-ell endpoints to extend the estimates; the final stage
-    collects ``n_samples`` top-level points from the full ladder. With
-    ``workers > 1`` one process pool serves every stage.
+    collects ``n_samples`` top-level points from the full ladder and,
+    when ``n_samples`` > 0, is the last of ``stats["phases"]``, one batch
+    stats dict per stage. With ``workers > 1`` one pool serves every stage.
     """
     if params.seed is None:
         raise ValueError("params.seed is required for reproducible runs")
@@ -197,7 +203,7 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     m = params.stage_samples(L)
     lz = [0.0]
     phases = []
-    grad_total = 0
+    samples = np.zeros((0, target.d))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for ell in range(1, L):
             try:
@@ -209,30 +215,16 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
                     exc.attempts, exc.final_levels,
                     message=f"estimation stage {ell} of {L} failed: {exc}",
                 ) from exc
-            grad_total += st["grad_evals"]
-            phases.append({"stage": ell, "chains": st["chains"],
-                           "grad_evals": st["grad_evals"]})
+            phases.append(st)
             lz.append(estimate_next_z(xs, target, ladder.betas[ell - 1], ladder.betas[ell],
                                       lz[-1]))
         estimates = PartitionEstimates(np.asarray(lz))
         if n_samples > 0:
-            samples, final_st = _collect_top(
+            samples, st = _collect_top(
                 target, ladder.betas, estimates.log_zhat, int(n_samples), params, workers, pool
             )
-            grad_total += final_st["grad_evals"]
-            phases.append({"stage": L, "chains": final_st["chains"],
-                           "grad_evals": final_st["grad_evals"]})
-        else:
-            samples = np.zeros((0, target.d))
-            final_st = new_batch_stats(L)
-    stats = {
-        "grad_evals": grad_total,
-        "occupancy": final_st["occupancy"],
-        "proposals": final_st["proposals"],
-        "accepts": final_st["accepts"],
-        "chains": final_st["chains"],
-        "phases": phases,
-    }
+            phases.append(st)
+    stats = {"grad_evals": sum(st["grad_evals"] for st in phases), "phases": phases}
     return MainResult(samples=samples, estimates=estimates, ladder=ladder, stats=stats)
 
 

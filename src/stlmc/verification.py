@@ -19,10 +19,8 @@ from .chain_analysis import (
     cheeger_constant,
     chi_sq_decay_check,
     conductance,
-    discretize_langevin_generator,
     gap_product_check,
     mixing_rate,
-    perturbation_gap_check,
     project,
     random_partition,
     random_reversible_chain,

@@ -139,6 +139,14 @@ def test_disconnected_chain_has_zero_cheeger():
     assert cheeger_constant(chain) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_cheeger_refuses_outside_two_to_twenty_states():
+    with pytest.raises(ValueError, match="2 to 20 states, got 1"):
+        cheeger_constant(FiniteChain([[1.0]]))
+    big = random_reversible_chain(21, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="2 to 20 states, got 21"):
+        cheeger_constant(big)
+
+
 def test_cheeger_two_sided_bounds_random_chains():
     rng = np.random.default_rng(7)
     for _ in range(25):

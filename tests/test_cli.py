@@ -237,6 +237,32 @@ def test_sample_end_to_end(tmp_path, capsys):
     assert "gradient evaluations" in stdout
 
 
+def test_summary_occupancy_counts_every_step_of_the_final_stage(tmp_path, monkeypatch):
+    # the engine counts occupancy from the first step, with every chain at
+    # level 1, and the summary must not claim a burn-in
+    results = []
+    run = cli.run_main_algorithm
+    monkeypatch.setattr(cli, "run_main_algorithm",
+                        lambda *a, **k: results.append(run(*a, **k)) or results[-1])
+    cfg = write_config(tmp_path, run={"eta": 0.1, "T": 0.5, "t": 40, "m": 20, "seed": 5})
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s" / "summary.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("level occupancy"))
+    assert "burn-in" not in lines[at]
+    final = results[0].stats["phases"][-1]
+    occ = final["occupancy"]
+    assert occ.sum() == final["chains"] * 40
+    np.testing.assert_allclose([float(v) for v in lines[at + 1].split()], occ / occ.sum(),
+                               atol=5e-5)
+
+
+def test_config_mode_radius_is_honoured(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode_radius=1,
+                       run={"eta": 0.1, "T": 0.5, "t": 40, "m": 20, "seed": 5})
+    assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert "mode fractions (radius 1): " in (tmp_path / "s" / "summary.txt").read_text()
+
+
 def test_sample_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -256,6 +282,22 @@ def test_estimate_z_reports_deviations(tmp_path, capsys):
     assert (out / "estimates.json").exists()
     worst = float(report.strip().splitlines()[-1].split("=")[1])
     assert worst < 1.0
+
+
+def test_estimate_z_above_two_dimensions_skips_quadrature(tmp_path, capsys):
+    target = {"weights": [0.5, 0.5], "means": [[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0]],
+              "sigma2": 1.0}
+    cfg = write_config(tmp_path, target=target,
+                       run={"eta": 0.1, "T": 0.5, "t": 40, "m": 20, "seed": 5})
+    out = tmp_path / "z"
+    assert main(["estimate-z", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "estimate_z.txt").read_text().splitlines()
+    L = len(json.loads((out / "estimates.json").read_text())["betas"])
+    assert lines[1] == f"L={L} seed=5"
+    levels = lines[2:-1]
+    assert [line.split(":")[0] for line in levels] == [f"level {k}" for k in range(1, L + 1)]
+    assert not any("quadrature" in line for line in levels)
+    assert lines[-1] == "quadrature comparison skipped (d > 2)"
 
 
 def test_analyze_reports_spectra(tmp_path, capsys):

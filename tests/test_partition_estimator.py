@@ -24,7 +24,7 @@ from stlmc.partition_estimator import (
     sample_exact,
     save_estimates,
 )
-from stlmc.tempering_chain import RunParams, make_ladder
+from stlmc.tempering_chain import RunParams, make_ladder, new_batch_stats
 from stlmc import partition_estimator
 from stlmc.cli import main
 
@@ -101,6 +101,23 @@ def test_run_main_algorithm_single_level():
     assert res.stats["grad_evals"] > 0
 
 
+def test_stats_hold_one_batch_stats_dict_per_stage(cheap):
+    params = RunParams(eta=0.1, T=0.5, t=40, m=20, seed=4)
+    res = run_main_algorithm(cheap, params, n_samples=30)
+    L = res.ladder.L
+    assert res.stats.keys() == {"grad_evals", "phases"}
+    assert len(res.stats["phases"]) == L
+    for ell, phase in enumerate(res.stats["phases"], 1):
+        assert phase.keys() == new_batch_stats(ell).keys()
+        assert phase["proposals"].shape == phase["accepts"].shape == (ell, ell)
+        assert phase["occupancy"].shape == (ell,)
+        assert phase["occupancy"].sum() == phase["chains"] * params.t
+    assert sum(p["grad_evals"] for p in res.stats["phases"]) == res.stats["grad_evals"]
+    # without a sampling stage the record holds the L - 1 estimation stages
+    est_only = run_main_algorithm(cheap, params, n_samples=0)
+    assert len(est_only.stats["phases"]) == L - 1
+
+
 def test_run_main_algorithm_requires_seed(cheap):
     with pytest.raises(ValueError, match="seed"):
         run_main_algorithm(cheap, RunParams(eta=0.1, T=0.5, t=30), n_samples=10)
@@ -130,9 +147,12 @@ def test_worker_invariance_with_several_groups(cheap):
     assert a.stats["phases"][-1]["chains"] >= 10 * 512
     np.testing.assert_array_equal(a.samples, c.samples)
     np.testing.assert_array_equal(a.estimates.log_zhat, c.estimates.log_zhat)
-    for key in ("occupancy", "proposals", "accepts"):
-        np.testing.assert_array_equal(a.stats[key], c.stats[key])
-    assert a.stats["phases"] == c.stats["phases"]
+    assert a.stats["grad_evals"] == c.stats["grad_evals"]
+    assert len(a.stats["phases"]) == len(c.stats["phases"])
+    for pa, pc in zip(a.stats["phases"], c.stats["phases"]):
+        assert pa.keys() == pc.keys()
+        for key in pa:
+            np.testing.assert_array_equal(pa[key], pc[key])
 
 
 def test_round_budget_is_max_retries(cheap):
