@@ -156,8 +156,9 @@ def _occupancy_lines(stats, L):
 def _measure(target, samples, radius, bins):
     """Mode fractions, the unassigned share and the TV distance of samples.
 
-    The TV distance is against the quadrature masses of ``bins`` bins per
-    axis on the default box, and None for d > 2.
+    The TV distance is against the ``exact_bin_masses`` of ``bins`` bins
+    per axis on the default box, which need no cubature call, and None
+    for d > 2.
     """
     frac, rest = mode_occupancy(samples, _mode_centers(target), radius)
     tv = None

@@ -11,7 +11,11 @@ from scipy.special import ndtr
 
 from .errors import BoundViolationError
 from .mixture_target import GaussianMixture, _as_points
-from .partition_estimator import log_partition_quadrature
+
+# Grid points per target.f call in exact_bin_masses. The 2D product grid of
+# 100 bins holds 1.56 million; one f call on all of them took a process's
+# peak from 55 to 170 MiB, blocks of this size to 115 MiB at the same speed.
+_F_ROWS = 65_536
 
 __all__ = [
     "Histogram",
@@ -120,15 +124,18 @@ def tv_distance(histogram: Histogram, exact_masses) -> float:
 def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     """Exact probability mass of the level-beta density in each bin.
 
-    Plain mixtures at beta = 1 use the closed-form Gaussian cell masses;
-    otherwise every bin is integrated with a 12-point Gauss-Legendre
-    rule per axis (a product rule in 2D), normalized by the quadrature
-    partition value.
+    Plain mixtures at beta = 1 use the closed-form Gaussian cell masses.
+    Otherwise one 12-point Gauss-Legendre rule per panel and axis (a
+    product rule in 2D) integrates exp(-beta f) over the bins and over
+    about sigma-wide tail panels that extend each axis to the box
+    [-(D + 8 sigma), D + 8 sigma] of ``log_partition_quadrature``, or to
+    the histogram's box where that reaches further. The bin integrals
+    divided by the integral over the whole grid are the masses.
     """
     if histogram.d != target.d:
         raise ValueError("histogram and target dimensions differ")
+    sigma = math.sqrt(target.sigma2)
     if isinstance(target, GaussianMixture) and beta == 1.0:
-        sigma = math.sqrt(target.sigma2)
         per_axis = []
         for axis in range(target.d):
             e = histogram.edges(axis)
@@ -137,21 +144,37 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
         if target.d == 1:
             return target.weights @ per_axis[0]
         return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
-    log_z = log_partition_quadrature(target, beta)
+    R = target.D + 8.0 * sigma
     nodes, gl_w = np.polynomial.legendre.leggauss(12)
-    axes = []
-    scale = 1.0
+    axes, halves, inner = [], [], []
     for axis in range(target.d):
         e = histogram.edges(axis)
-        half = (e[1] - e[0]) / 2.0
-        axes.append((e[:-1, None] + half * (nodes[None, :] + 1.0)).ravel())
-        scale *= half
+        below = _panels(-R, e[0], sigma)[:-1]
+        above = _panels(e[-1], R, sigma)[1:]
+        panels = np.concatenate([below, e, above])
+        half = np.diff(panels) / 2.0
+        axes.append(((panels[:-1] + half)[:, None] + half[:, None] * nodes).ravel())
+        halves.append(half)
+        inner.append(slice(below.size, below.size + histogram.bins))
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, target.d)
-    vals = np.exp(-beta * target.f(pts) - log_z).reshape((histogram.bins, 12) * target.d)
-    # contract each bin's node axis with the weights, leaving one axis per dimension
+    vals = np.empty(pts.shape[0])
+    for first in range(0, pts.shape[0], _F_ROWS):
+        vals[first:first + _F_ROWS] = target.f(pts[first:first + _F_ROWS])
+    vals = np.exp(-beta * vals).reshape([n for half in halves for n in (half.size, 12)])
+    # contract each panel's node axis with the weights, leaving one axis per dimension
     for axis in range(1, target.d + 1):
         vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
-    return vals * scale
+    for axis, half in enumerate(halves):
+        vals *= half.reshape((-1,) + (1,) * (target.d - 1 - axis))
+    return vals[tuple(inner)] / vals.sum()
+
+
+def _panels(a, b, width):
+    """Edges from a to b, both included, of equal panels at most ``width`` wide.
+
+    Gives just ``[a]`` when b <= a.
+    """
+    return np.linspace(a, b, max(0, math.ceil((b - a) / width)) + 1)
 
 
 def _check_dist(v, name):

@@ -14,8 +14,10 @@ many workers execute the round. A stage runs at most
 ``params.max_retries`` rounds. One process pool serves a whole run, and
 every run option, the ladder scales and the proposal rule included,
 comes from ``RunParams``. The d <= 2 quadrature oracle imports
-``scipy.integrate`` on its first call, so a sampling run, and every
-pool worker it forks, loads only numpy and ``scipy.special``.
+``scipy.integrate`` on its first call. ``sample`` and ``compare`` never
+make it, since their TV summary normalizes on the Gauss-Legendre grid
+of ``diagnostics.exact_bin_masses``, so those runs, perturbed or not,
+and every pool worker they fork, load only numpy and ``scipy.special``.
 """
 from __future__ import annotations
 
@@ -61,6 +63,9 @@ _BLOCK = 512
 # of speed. That is 4096 chains at d = 10 and 80 blocks at d = 1, where
 # each stage of the +-3 desk run fits in one group per worker.
 _GROUP_SIZE = 40_960
+# Proposals per batched concentration_check chunk: about 1 MiB per array
+# at d = 1, and at least one trial.
+_CHUNK_DRAWS = 131_072
 
 
 @dataclass(frozen=True)
@@ -236,28 +241,57 @@ def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
     envelope dominates ``exp(-beta f)`` for beta <= 1 the rejection step
     is exact, and at beta = 1 every proposal is accepted.
     """
+    _check_exact(mixture, beta)
+    out = []
+    got = 0
+    while got < n:
+        xs, u = _proposals(mixture, max(2 * (n - got), 128), rng, beta)
+        keep = _accepted(mixture, xs, u, beta)
+        out.append(xs[keep])
+        got += int(keep.sum())
+    return np.concatenate(out, axis=0)[:n]
+
+
+def _check_exact(mixture, beta):
     if not isinstance(mixture, GaussianMixture):
         raise TypeError("exact sampling needs an unperturbed mixture")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
+
+
+def _proposals(mixture, batch, rng, beta):
+    """One round of ``sample_exact``: ``batch`` proposals and their uniforms."""
     wb = mixture.weights**beta
     wb = wb / wb.sum()
-    comp_sd = math.sqrt(mixture.sigma2 / beta)
-    out = []
-    got = 0
-    while got < n:
-        batch = max(2 * (n - got), 128)
-        comp = rng.choice(mixture.n, size=batch, p=wb)
-        xs = mixture.means[comp] + comp_sd * rng.standard_normal((batch, mixture.d))
-        # log exp(-beta f) less the log of the envelope sum_i w_i^beta
-        # exp(-beta ||x - mu_i||^2 / (2 sigma2)), both from the logits a_i:
-        # their ||x||^2 / (2 sigma2) terms cancel
-        a = mixture._logits(xs)
-        log_ratio = beta * logsumexp(a, axis=0) - logsumexp(beta * a, axis=0)
-        keep = np.log(1.0 - rng.random(batch)) < log_ratio
-        out.append(xs[keep])
-        got += int(keep.sum())
-    return np.concatenate(out, axis=0)[:n]
+    comp = rng.choice(mixture.n, size=batch, p=wb)
+    xs = (mixture.means[comp]
+          + math.sqrt(mixture.sigma2 / beta) * rng.standard_normal((batch, mixture.d)))
+    return xs, rng.random(batch)
+
+
+def _accepted(mixture, xs, u, beta):
+    """Rejection test of ``sample_exact`` for proposal rows ``xs`` and uniforms ``u``."""
+    # log exp(-beta f) less the log of the envelope sum_i w_i^beta
+    # exp(-beta ||x - mu_i||^2 / (2 sigma2)), both from the logits a_i:
+    # their ||x||^2 / (2 sigma2) terms cancel
+    a = mixture._logits(xs)
+    log_ratio = beta * _logsumexp0(a) - _logsumexp0(beta * a)
+    return np.log(1.0 - u) < log_ratio
+
+
+def _logsumexp0(a):
+    """``scipy.special.logsumexp(a, axis=0)`` of a finite real 2-d array.
+
+    Same operations in the same order, so the same bits, without scipy's
+    array-API dispatch, which makes it several times slower on (2, 131072).
+    """
+    a_max = a.max(axis=0)
+    is_max = a == a_max
+    m = is_max.sum(axis=0, dtype=a.dtype)
+    # each maximum's term leaves the sum for m; times False it is the 0 of
+    # scipy's exp(-inf) without numpy's slow path for where and -inf
+    s = (np.exp(a - a_max) * ~is_max).sum(axis=0)
+    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def log_partition_quadrature(target, beta):
@@ -287,28 +321,50 @@ def log_partition_quadrature(target, beta):
     return math.log(float(val)) if betas.ndim == 0 else np.log(val)
 
 
+def _trial_rng(seed, trial):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+
+
 def concentration_check(
     mixture, beta_l, beta_next, n_samples=1000, epsilon=0.1, n_trials=1000, seed=0
 ) -> ConcentrationResult:
     """Empirical tail of the one-level ratio estimator against its envelope.
 
     Each trial draws ``n_samples`` exact points from the level-beta_l
-    density and estimates the partition ratio to the next level; a trial
-    fails when the relative error exceeds ``epsilon``. The returned
-    envelope is ``exp(-n eps^2 / (2 C^4))`` with
+    density, the points ``sample_exact`` draws from the trial's own
+    spawn-key stream, and estimates the partition ratio to the next
+    level; a trial fails when the relative error exceeds ``epsilon``.
+    Trials run in chunks of about ``_CHUNK_DRAWS`` proposals, with one
+    rejection test for the chunk's first rounds and one ``f`` call. The
+    returned envelope is ``exp(-n eps^2 / (2 C^4))`` with
     ``C = max(1, 1/ratio)``, which the failure rate should stay below up
     to binomial noise.
     """
+    _check_exact(mixture, beta_l)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples!r}")
     lr = log_partition_quadrature(mixture, beta_next) - log_partition_quadrature(mixture, beta_l)
     ratio = math.exp(lr)
     C = max(1.0, 1.0 / ratio)
+    batch = max(2 * n_samples, 128)
+    per_chunk = max(1, _CHUNK_DRAWS // batch)
     fails = 0
-    for trial in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-        xs = sample_exact(mixture, n_samples, rng, beta=beta_l)
-        rbar = float(np.mean(np.exp((beta_l - beta_next) * np.atleast_1d(mixture.f(xs)))))
-        if abs(rbar / ratio - 1.0) > epsilon:
-            fails += 1
+    for first in range(0, n_trials, per_chunk):
+        trials = range(first, min(first + per_chunk, n_trials))
+        draws = [_proposals(mixture, batch, _trial_rng(seed, trial), beta_l) for trial in trials]
+        xs = np.concatenate([x for x, _ in draws])
+        keep = _accepted(mixture, xs, np.concatenate([u for _, u in draws]), beta_l)
+        keep = keep.reshape(len(trials), batch)
+        pts = []
+        for i, trial in enumerate(trials):
+            if keep[i].sum() >= n_samples:
+                pts.append(xs[i * batch:(i + 1) * batch][keep[i]][:n_samples])
+            else:
+                # short after its first round: sample_exact's loop from the trial's start
+                pts.append(sample_exact(mixture, n_samples, _trial_rng(seed, trial), beta_l))
+        fs = mixture.f(np.concatenate(pts)).reshape(len(trials), n_samples)
+        rbar = np.mean(np.exp((beta_l - beta_next) * fs), axis=1)
+        fails += int(np.count_nonzero(np.abs(rbar / ratio - 1.0) > epsilon))
     envelope = math.exp(-n_samples * epsilon**2 / (2.0 * C**4))
     return ConcentrationResult(
         failure_rate=fails / n_trials,

@@ -360,8 +360,20 @@ def test_analyze_checks_the_ladder_in_one_call(tmp_path, monkeypatch):
     assert calls == [12] and "12->13: ratio=" in report
 
 
+_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter, since this one has loaded every stack."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sampling_loads_no_deferred_scipy_stack(tmp_path):
-    # a fresh interpreter, since this one has loaded every stack already;
     # a sample run with --trace needs numpy and scipy.special only, and
     # analyze then loads what it uses on its first call
     cfg = write_config(tmp_path)
@@ -373,17 +385,32 @@ for mod in pkgutil.iter_modules(stlmc.__path__):
 from stlmc import cli
 assert cli.main(["sample", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "s")!r},
                  "--m", "20", "--t", "40", "--trace"]) == 0
-deferred = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+deferred = {_DEFERRED!r}
 loaded = [name for name in deferred if name in sys.modules]
 assert not loaded, f"sample loaded {{loaded}}"
 assert cli.main(["analyze", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "a")!r},
                  "--cells", "50"]) == 0
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(script)
     assert (tmp_path / "s" / "trace.csv").exists()
     assert (tmp_path / "a" / "analyze.txt").exists()
+
+
+def test_perturbed_sampling_loads_no_deferred_scipy_stack(tmp_path):
+    # the TV summary of a perturbed target normalizes without cubature; the
+    # close-mode desk variant keeps compare's plain chains short
+    cfg = write_config(tmp_path, target={
+        "weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0,
+        "perturbation": {"amplitude": 0.2, "scale": 1.0}})
+    script = f"""
+import sys
+from stlmc import cli
+for command in ("sample", "compare"):
+    assert cli.main([command, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + command,
+                     "--m", "10", "--t", "40", "--n-samples", "100"]) == 0
+loaded = [name for name in {_DEFERRED!r} if name in sys.modules]
+assert not loaded, f"sample and compare loaded {{loaded}}"
+"""
+    _run_fresh(script)
+    assert "TV distance vs quadrature density" in (tmp_path / "sample" / "summary.txt").read_text()
+    assert (tmp_path / "compare" / "compare.txt").exists()

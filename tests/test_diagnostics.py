@@ -19,7 +19,7 @@ from stlmc.diagnostics import (
 )
 from stlmc.errors import BoundViolationError
 from stlmc.mixture_target import GaussianMixture, PerturbedTarget, SinusoidalPerturbation
-from stlmc.partition_estimator import sample_exact
+from stlmc.partition_estimator import log_partition_quadrature, sample_exact
 
 
 def test_histogram_from_samples_counts_and_overflow():
@@ -154,6 +154,46 @@ def test_exact_bin_masses_rule_matches_closed_form_at_low_beta():
         masses = exact_bin_masses(g, h, beta=beta)
         assert masses.shape == expected.shape
         np.testing.assert_allclose(masses, expected, rtol=0.0, atol=1e-7)
+
+
+def _cubature_normalized_masses(target, h, beta):
+    """Each bin's 12-point Gauss-Legendre integral over the cubature normalizer."""
+    nodes, gl_w = np.polynomial.legendre.leggauss(12)
+    axes, scale = [], 1.0
+    for axis in range(target.d):
+        e = h.edges(axis)
+        half = (e[1] - e[0]) / 2.0
+        axes.append((e[:-1, None] + half * (nodes[None, :] + 1.0)).ravel())
+        scale *= half
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, target.d)
+    vals = np.exp(-beta * target.f(pts)).reshape((h.bins, 12) * target.d)
+    for axis in range(1, target.d + 1):
+        vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
+    return vals * scale / math.exp(log_partition_quadrature(target, beta))
+
+
+@pytest.mark.parametrize("d, bins, beta", [(1, 100, 1.0), (1, 100, 0.3), (2, 40, 1.0)])
+def test_exact_bin_masses_normalizer_matches_cubature(desk, d, bins, beta):
+    four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
+    target = PerturbedTarget(desk if d == 1 else four, SinusoidalPerturbation(0.2, 1.0))
+    lo, hi = default_box(target)
+    h = Histogram(lo, hi, bins, np.zeros((bins,) * d, dtype=np.int64), 0)
+    np.testing.assert_allclose(exact_bin_masses(target, h, beta=beta),
+                               _cubature_normalized_masses(target, h, beta),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [([-15.0], [15.0]), ([-5.0], [15.0]), ([-15.0], [5.0]),
+                                    ([-15.0, -5.0], [15.0, 15.0])])
+def test_exact_bin_masses_box_past_the_quadrature_box(desk, lo, hi):
+    # D + 8 sigma = 11: no tail panel on a side whose bins reach past it
+    base = desk if len(lo) == 1 else GaussianMixture([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]], 1.0)
+    bins = 40 if len(lo) == 1 else 20
+    h = Histogram(lo, hi, bins, np.zeros((bins,) * len(lo), dtype=np.int64), 0)
+    masses = exact_bin_masses(PerturbedTarget(base, SinusoidalPerturbation(0.0)), h)
+    assert masses.min() >= 0.0
+    assert masses.sum() <= 1.0 + 1e-12
+    np.testing.assert_allclose(masses, exact_bin_masses(base, h), rtol=0.0, atol=1e-12)
 
 
 def test_chi_sq_divergence_values():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import nquad
+from scipy.special import logsumexp
 
 from stlmc.errors import BoundViolationError, RetriesExhaustedError
 from stlmc.mixture_target import (
@@ -234,6 +235,75 @@ def test_concentration_check_desk_pair(desk):
     )
     assert res.failure_rate <= res.envelope + 3.0 * math.sqrt(0.25 / res.n_trials)
     assert 0.0 < res.ratio <= 1.0
+
+
+def test_logsumexp0_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for k in (1, 2, 3, 5):
+        for scale in (0.01, 1.0, 50.0, 700.0):
+            a = rng.normal(size=(k, 3000)) * scale
+            a[:, :100] = a[0, :100]  # every row tied for the maximum
+            a[:, 100:200] = np.round(a[:, 100:200])  # some rows tied
+            np.testing.assert_array_equal(partition_estimator._logsumexp0(a),
+                                          logsumexp(a, axis=0))
+
+
+def _reference_exact_draws(mix, n, rng, beta):
+    """``sample_exact`` written out as one loop, with scipy's logsumexp."""
+    wb = mix.weights**beta
+    wb = wb / wb.sum()
+    out, got = [], 0
+    while got < n:
+        batch = max(2 * (n - got), 128)
+        comp = rng.choice(mix.n, size=batch, p=wb)
+        xs = mix.means[comp] + math.sqrt(mix.sigma2 / beta) * rng.standard_normal((batch, mix.d))
+        a = mix._logits(xs)
+        log_ratio = beta * logsumexp(a, axis=0) - logsumexp(beta * a, axis=0)
+        keep = np.log(1.0 - rng.random(batch)) < log_ratio
+        out.append(xs[keep])
+        got += int(keep.sum())
+    return np.concatenate(out, axis=0)[:n]
+
+
+@pytest.mark.parametrize("crowded", [False, True])
+def test_concentration_check_matches_per_trial_draws(desk, monkeypatch, crowded):
+    # four close modes accept about half the proposals at beta 0.5, so some
+    # trials fall short of n after their first round of 2n; the desk never does
+    if crowded:
+        mix = GaussianMixture([0.25] * 4, [[-0.6], [-0.2], [0.2], [0.6]], 1.0)
+        beta_l, beta_next, n_samples = 0.5, 0.6, 100
+    else:
+        mix, beta_l, beta_next, n_samples = desk, 0.3, 0.4, 300
+    # reference: each trial's own rejection sampler on its spawn-key stream
+    ratio = math.exp(log_partition_quadrature(mix, beta_next)
+                     - log_partition_quadrature(mix, beta_l))
+    errors = []
+    for trial in range(90):
+        key = np.random.SeedSequence(9, spawn_key=(trial,))
+        xs = _reference_exact_draws(mix, n_samples, np.random.default_rng(key), beta_l)
+        if trial < 5:
+            np.testing.assert_array_equal(
+                sample_exact(mix, n_samples, np.random.default_rng(key), beta=beta_l), xs)
+        errors.append(abs(float(np.mean(np.exp((beta_l - beta_next) * mix.f(xs)))) / ratio - 1))
+    short = []
+    monkeypatch.setattr(partition_estimator, "_CHUNK_DRAWS", 7 * 2 * n_samples)
+    monkeypatch.setattr(partition_estimator, "sample_exact",
+                        lambda *a, **k: short.append(a[1]) or sample_exact(*a, **k))
+    for eps in sorted(errors)[::10]:
+        res = concentration_check(mix, beta_l, beta_next, n_samples=n_samples, epsilon=eps,
+                                  n_trials=90, seed=9)
+        assert res.failure_rate == sum(e > eps for e in errors) / 90
+    assert bool(short) == crowded
+
+
+def test_concentration_check_validates_its_arguments(desk):
+    with pytest.raises(ValueError, match="n_samples must be positive"):
+        concentration_check(desk, 0.5, 0.6, n_samples=0, n_trials=2)
+    with pytest.raises(ValueError, match="beta must lie"):
+        concentration_check(desk, 1.2, 1.3, n_samples=10, n_trials=2)
+    with pytest.raises(TypeError, match="unperturbed"):
+        concentration_check(PerturbedTarget(desk, SinusoidalPerturbation(0.1)), 0.5, 0.6,
+                            n_samples=10, n_trials=2)
 
 
 def test_sample_exact_moments(desk):
