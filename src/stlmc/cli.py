@@ -112,9 +112,12 @@ def _mode_centers(target):
 
 def _mode_radius(args, cfg, target):
     r = args.mode_radius if args.mode_radius is not None else cfg.get("mode_radius")
-    if r is not None:
-        return float(r)
-    return 3.0 * math.sqrt(target.sigma2)
+    if r is None:
+        return 3.0 * math.sqrt(target.sigma2)
+    r = _coerce("mode_radius", float, r)
+    if not (r > 0 and math.isfinite(r)):
+        raise ConfigError(f"mode_radius must be a finite positive number (got {r!r})")
+    return r
 
 
 def _write_samples_csv(path, samples):
@@ -173,26 +176,30 @@ def _main_run(args, with_samples):
     """The part of sample, compare and estimate-z before their reports.
 
     Reads the config, target, run parameters, output path and, ``with_samples``,
-    the sample count, and checks the step size; then runs the main
-    algorithm. Returns ``(cfg, target, params, workers, out, result)``;
-    the caller makes ``out`` once its own computation has succeeded.
+    the sample count, histogram bins and mode radius, and checks the step
+    size; then runs the main algorithm. Returns ``(target, params, workers,
+    out, radius, result)``, with radius None without samples; the caller
+    makes ``out`` once its own computation has succeeded.
     """
     cfg, target = _load_target(args.config)
     params, workers = _merge_run_params(cfg, args, require_seed=True)
-    n_samples = 0
+    n_samples, radius = 0, None
     if with_samples:
         n_samples = args.n_samples if args.n_samples is not None else cfg.get("n_samples", 2000)
         n_samples = _coerce("n_samples", int, n_samples)
         if n_samples < 1:
             raise ConfigError(f"n_samples must be positive for {args.command}")
+        if _coerce("bins", int, args.bins) < 1:
+            raise ConfigError(f"bins must be a positive integer (got {args.bins!r})")
+        radius = _mode_radius(args, cfg, target)
     check_step_size(params.eta, target)
     out = _out_path(args, cfg)
     result = run_main_algorithm(target, params, n_samples=n_samples, workers=workers)
-    return cfg, target, params, workers, out, result
+    return target, params, workers, out, radius, result
 
 
 def cmd_sample(args) -> int:
-    cfg, target, params, workers, out, result = _main_run(args, with_samples=True)
+    target, params, workers, out, radius, result = _main_run(args, with_samples=True)
     lines = [
         "# stlmc sample summary v1",
         f"target: d={target.d} modes={_mode_centers(target).shape[0]} "
@@ -207,7 +214,6 @@ def cmd_sample(args) -> int:
         f"gradient evaluations: {result.stats['grad_evals']}",
     ]
     lines += _occupancy_lines(result.stats["phases"][-1], result.ladder.L)
-    radius = _mode_radius(args, cfg, target)
     frac, rest, tv = _measure(target, result.samples, radius, args.bins)
     lines.append(f"mode fractions (radius {radius:.3g}): "
                  + " ".join(f"{v:.4f}" for v in frac) + f"  unassigned {rest:.4f}")
@@ -227,8 +233,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg, target, params, _, out, result = _main_run(args, with_samples=True)
-    radius = _mode_radius(args, cfg, target)
+    target, params, _, out, radius, result = _main_run(args, with_samples=True)
     n_chains = result.samples.shape[0]
     budget = result.stats["grad_evals"]
     # plain level-1.0 chains from the first mode burning the same gradient count
@@ -252,7 +257,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_estimate_z(args) -> int:
-    _, target, params, _, out, result = _main_run(args, with_samples=False)
+    target, params, _, out, _, result = _main_run(args, with_samples=False)
     lines = ["# stlmc estimate-z report v1",
              f"L={result.ladder.L} seed={params.seed}"]
     betas, log_zhat = result.ladder.betas, result.estimates.log_zhat

@@ -45,7 +45,8 @@ def _updates(target, xs, eta_b, noise):
     mixture kernel's own layout; it is overwritten, and the result is
     ``xs`` or a second buffer of its shape. ``eta_b`` is eta * beta, one
     value or one per column; the noise is already scaled by sqrt(2 eta).
-    Gradients come only from ``target.f_and_grad``. An update that leaves
+    Gradients come only from ``target.f_and_grad(..., value=False)``, which
+    skips the energy the update never reads. An update that leaves
     a point non-finite raises ``NonFiniteGradientError`` carrying the
     point the update started from.
     """
@@ -53,7 +54,7 @@ def _updates(target, xs, eta_b, noise):
     # xs and moved swap roles each update, so xs still holds the
     # update's start rows when the check fails
     for step_noise in noise:
-        _, grad = target.f_and_grad(xs.T)
+        _, grad = target.f_and_grad(xs.T, value=False)
         np.multiply(eta_b, grad.T, out=moved)
         np.subtract(xs, moved, out=moved)
         moved += step_noise

@@ -11,9 +11,14 @@ with ``a_i = x . mu_i / sigma2 + log w_i - ||mu_i||^2 / (2 sigma2)``, so
 the kernels need one (n, m) array instead of (m, n, d) differences.
 ``f`` takes the logsumexp by logaddexp; ``f_and_grad`` uses
 max-subtraction, and the component responsibilities come out of the same
-softmax pass as the gradient ``(x - sum_i resp_i mu_i) / sigma2``. Each
-row's result is computed the same way whatever the batch size, so a
-point's energy and gradient do not depend on the rows evaluated with it.
+softmax pass as the gradient ``(x - sum_i resp_i mu_i) / sigma2``. The
+Langevin kernel needs only that gradient, so it calls
+``f_and_grad(x, value=False)``, which skips the terms only the energy
+needs (``||x||^2``, ``log`` of the softmax sum, and the perturbation's
+value product) and leaves the gradient arithmetic, hence its bytes,
+unchanged. Each row's result is computed the same way whatever the batch
+size, so a point's energy and gradient do not depend on the rows
+evaluated with it.
 """
 from __future__ import annotations
 
@@ -146,17 +151,24 @@ class GaussianMixture:
 
     def grad(self, x):
         """Gradient of f; same leading shape as the input."""
-        return self.f_and_grad(x)[1]
+        return self.f_and_grad(x, value=False)[1]
 
-    def f_and_grad(self, x):
+    def f_and_grad(self, x, *, value=True):
+        """``(f(x), grad f(x))`` from one softmax pass.
+
+        Takes the inputs ``f`` takes; the energy is a float for a single
+        point and an (m,) array for a batch, the gradient has the input's
+        leading shape. With ``value=False`` the energy is not computed and
+        ``None`` stands in its place; the gradient is the same to the bit.
+        """
         pts, single = _as_points(x, self.d)
         _check_finite(pts)
-        fv, g = self._f_grad(pts)
+        fv, g = self._f_grad(pts, value)
         if single:
-            return float(fv[0]), g[0]
+            return (None if fv is None else float(fv[0])), g[0]
         return fv, g
 
-    def _f_grad(self, pts):
+    def _f_grad(self, pts, value=True):
         # Work in the (d, m) layout so that einsum and the sums over
         # components run over rows innermost, which is fast and adds in the
         # same order for every row. The layout costs no copy when pts is the
@@ -174,11 +186,14 @@ class GaussianMixture:
         e -= top
         np.exp(e, out=e)
         s = e.sum(axis=0)
-        fv = np.einsum("dm,dm->m", xt, xt) / (2.0 * self.sigma2) - (top + np.log(s))
+        fv = None
+        if value:
+            fv = (np.einsum("dm,dm->m", xt, xt) / (2.0 * self.sigma2)
+                  - (top + np.log(s)))[:m]
         e /= s
         g = xt - np.einsum("nm,nd->dm", e, self.means)
         g /= self.sigma2
-        return fv[:m], g.T[:m]
+        return fv, g.T[:m]
 
 
 @dataclass(frozen=True)
@@ -200,16 +215,20 @@ class SinusoidalPerturbation:
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
 
-    def _terms(self, pts, grad):
-        """Value and, when ``grad`` is set, gradient from one sine pass."""
+    def _terms(self, pts, value=True, grad=True):
+        """Value and gradient, each when asked for, from one sine pass.
+
+        At d == 1 the gradient is (amplitude / scale) cos(x / scale), so a
+        gradient-only call takes no sines there.
+        """
         z = pts / self.scale
-        s = np.sin(z)
-        val = self.amplitude * np.prod(s, axis=-1)
+        d = pts.shape[-1]
+        s = np.sin(z) if value or d > 1 else None
+        val = self.amplitude * np.prod(s, axis=-1) if value else None
         if not grad:
             return val, None
         c = np.cos(z)
-        d = pts.shape[-1]
-        out = np.empty_like(s)
+        out = np.empty_like(c)
         for j in range(d):
             others = [k for k in range(d) if k != j]
             rest = np.prod(s[..., others], axis=-1) if others else 1.0
@@ -220,11 +239,11 @@ class SinusoidalPerturbation:
         return self._terms(pts, grad=False)[0]
 
     def grad(self, pts):
-        return self._terms(pts, grad=True)[1]
+        return self._terms(pts, value=False)[1]
 
     def value_and_grad(self, pts):
         """``(value(pts), grad(pts))`` with one sine and cosine pass."""
-        return self._terms(pts, grad=True)
+        return self._terms(pts)
 
     @property
     def delta(self) -> float:
@@ -276,17 +295,26 @@ class PerturbedTarget:
         return float(val[0]) if single else val
 
     def grad(self, x):
-        return self.f_and_grad(x)[1]
+        return self.f_and_grad(x, value=False)[1]
 
-    def f_and_grad(self, x):
+    def f_and_grad(self, x, *, value=True):
+        """``(f(x), grad f(x))``, shaped as ``GaussianMixture.f_and_grad``'s.
+
+        With ``value=False`` the energy is ``None``: neither the mixture's
+        nor the perturbation's value is computed, and the gradient is the
+        same to the bit.
+        """
         pts, single = _as_points(x, self.d)
         _check_finite(pts)
-        fv, g = self.base._f_grad(pts)
-        dv, dg = self.perturbation.value_and_grad(pts)
-        fv = fv + dv
+        fv, g = self.base._f_grad(pts, value)
+        if value:
+            dv, dg = self.perturbation.value_and_grad(pts)
+            fv = fv + dv
+        else:
+            dg = self.perturbation.grad(pts)
         g = g + dg
         if single:
-            return float(fv[0]), g[0]
+            return (None if fv is None else float(fv[0])), g[0]
         return fv, g
 
 

@@ -162,6 +162,31 @@ def test_compare_refuses_nonpositive_n_samples_before_sampling(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "compare"])
+@pytest.mark.parametrize("flags, overrides, named", [
+    (["--bins", "0"], {}, "bins"),
+    (["--bins", "-2"], {}, "bins"),
+    (["--mode-radius", "-1"], {}, "mode_radius"),
+    (["--mode-radius", "0"], {}, "mode_radius"),
+    (["--mode-radius", "nan"], {}, "mode_radius"),
+    (["--mode-radius", "inf"], {}, "mode_radius"),
+    ([], {"mode_radius": "abc"}, "mode_radius"),
+    ([], {"mode_radius": [1.0]}, "mode_radius"),
+    ([], {"mode_radius": -1}, "mode_radius"),
+])
+def test_bad_report_options_are_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                        command, flags, overrides, named):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "run_main_algorithm", no_run)
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
+    assert f"{named} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_exits_1_when_tempering_fails(tmp_path, capsys):
     # 20 steps per chain cannot climb the 15-level +-3 ladder, so an
     # estimation stage runs out of rounds

@@ -14,7 +14,7 @@ class _BadGradient:
     d = 1
     sigma2 = 1.0
 
-    def f_and_grad(self, x):
+    def f_and_grad(self, x, *, value=True):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[0]), np.full_like(x, np.nan)
 

@@ -185,6 +185,23 @@ def test_fused_perturbation_is_bit_identical(d):
     assert np.array_equal(g, target.base.grad(pts) + pert.grad(pts))
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gradient_only_call_is_bit_identical(d, perturbed):
+    # the Langevin kernel asks for value=False; skipping the energy terms
+    # must leave every bit of the gradient as f_and_grad(x) gives it
+    target = _generic_mixture(3, d, 70 + d)
+    if perturbed:
+        target = PerturbedTarget(target, SinusoidalPerturbation(0.7, 1.3))
+    pts = np.random.default_rng(71 + d).uniform(-20.0, 20.0, size=(257, d))
+    for x in (pts[0], pts, np.ascontiguousarray(pts.T).T):
+        fv, g = target.f_and_grad(x, value=False)
+        assert fv is None
+        assert g.shape == x.shape
+        assert g.tobytes() == target.f_and_grad(x)[1].tobytes()
+    assert target.grad(pts).tobytes() == target.f_and_grad(pts)[1].tobytes()
+
+
 def test_perturbed_target_composition(desk):
     target = PerturbedTarget(desk, SinusoidalPerturbation(0.2, scale=1.5))
     x = np.array([0.8])
@@ -278,3 +295,4 @@ def test_kernel_rows_do_not_depend_on_the_batch(n, d):
             np.testing.assert_array_equal(fv_sub, fv[sl])
             np.testing.assert_array_equal(g_sub, g[sl])
             np.testing.assert_array_equal(mix.f(pts[sl]), f_only[sl])
+            np.testing.assert_array_equal(mix.f_and_grad(pts[sl], value=False)[1], g[sl])

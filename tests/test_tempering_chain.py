@@ -340,17 +340,20 @@ def test_batch_divergence_raises_non_finite_gradient(cheap):
 def test_engine_gradient_rows_go_through_f_and_grad(monkeypatch, cheap, perturbed):
     # a tracer counts the engine's gradient work as the rows it passes to
     # the public f_and_grad (outermost call only), so those rows must equal
-    # stats["grad_evals"]
+    # stats["grad_evals"]; the engine reads only the gradient, so every
+    # call asks for value=False
     target = PerturbedTarget(cheap, SinusoidalPerturbation(0.2)) if perturbed else cheap
     rows = []
+    values = []
     depth = [0]
     for cls in (GaussianMixture, PerturbedTarget):
-        def counted(obj, x, _inner=cls.f_and_grad):
+        def counted(obj, x, _inner=cls.f_and_grad, **kwargs):
             if not depth[0]:
                 rows.append(max(1, np.size(x) // obj.d))
+                values.append(kwargs.get("value", True))
             depth[0] += 1
             try:
-                return _inner(obj, x)
+                return _inner(obj, x, **kwargs)
             finally:
                 depth[0] -= 1
         monkeypatch.setattr(cls, "f_and_grad", counted)
@@ -359,10 +362,12 @@ def test_engine_gradient_rows_go_through_f_and_grad(monkeypatch, cheap, perturbe
     for n_chains, rngs in ((1, np.random.default_rng(4)),
                            (96, [np.random.default_rng(b) for b in range(3)])):
         rows.clear()
+        values.clear()
         stats = new_batch_stats(ladder.L)
         run_tempering_batch(target, ladder.betas, np.zeros(ladder.L), n_chains, params,
                             rngs, stats=stats)
         assert sum(rows) == stats["grad_evals"] > 0
+        assert set(values) == {False}
         if n_chains == 1:
             # every within-level move of a lone chain has exactly one heads row
             assert set(rows) == {1}
