@@ -1,11 +1,22 @@
 """Exception types shared across the package, and the field converter that raises them."""
 from __future__ import annotations
 
+import numbers
+
 
 def _coerce(name, kind, value):
-    """``kind(value)``, with a ValueError naming the field when that fails."""
+    """``kind(value)``, with a ValueError naming the field when that fails.
+
+    A bool is never a number here, and ``int`` takes only integral
+    numbers (``50.0``, not ``50.5``), so no value is silently truncated.
+    """
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
+        if kind is int and isinstance(value, numbers.Real) and out != value:
+            raise ValueError
+        return out
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be {kind.__name__} (got {value!r})") from None
 

@@ -9,16 +9,18 @@ so each component is a sub-probability bump and ``f >= 0`` everywhere.
 Expanding the square gives ``f(x) = ||x||^2 / (2 sigma2) - logsumexp_i a_i``
 with ``a_i = x . mu_i / sigma2 + log w_i - ||mu_i||^2 / (2 sigma2)``, so
 the kernels need one (n, m) array instead of (m, n, d) differences.
-``f`` takes the logsumexp by logaddexp; ``f_and_grad`` uses
-max-subtraction, and the component responsibilities come out of the same
-softmax pass as the gradient ``(x - sum_i resp_i mu_i) / sigma2``. The
-Langevin kernel needs only that gradient, so it calls
-``f_and_grad(x, value=False)``, which skips the terms only the energy
-needs (``||x||^2``, ``log`` of the softmax sum, and the perturbation's
-value product) and leaves the gradient arithmetic, hence its bytes,
-unchanged. Each row's result is computed the same way whatever the batch
-size, so a point's energy and gradient do not depend on the rows
-evaluated with it.
+
+Each target class has one energy kernel, ``_energy``, and one gradient
+kernel, ``_grad``, both on checked (m, d) points. The mixture's energy
+takes the logsumexp by logaddexp; its gradient ``(x - sum_i resp_i mu_i) /
+sigma2`` comes from a max-subtracted softmax of the same logits. ``f``,
+``grad`` and ``f_and_grad`` are shells over the kernels that share one
+input path (``_evaluate``), so ``f_and_grad(x)[0]`` has the bits of
+``f(x)`` and ``grad(x)`` those of ``f_and_grad(x)[1]``. The Langevin
+kernel needs only the gradient and calls ``f_and_grad(x, value=False)``,
+which runs no energy kernel. Each row's result is computed the same way
+whatever the batch size, so a point's energy and gradient do not depend
+on the rows evaluated with it.
 """
 from __future__ import annotations
 
@@ -68,6 +70,22 @@ def _as_points(x, d):
 def _check_finite(pts):
     if not np.isfinite(pts).all():
         raise ValueError("x must be finite")
+
+
+def _evaluate(target, x, value, grad):
+    """``(f(x), grad f(x))`` from the target's kernels, None where not asked for.
+
+    The one input path of every ``f``, ``grad`` and ``f_and_grad``: it
+    normalizes x with ``_as_points``, checks it once, and unwraps a single
+    point to a float energy and a (d,) gradient.
+    """
+    pts, single = _as_points(x, target.d)
+    _check_finite(pts)
+    fv = target._energy(pts) if value else None
+    g = target._grad(pts) if grad else None
+    if single:
+        return (None if fv is None else float(fv[0])), (None if g is None else g[0])
+    return fv, g
 
 
 @dataclass(frozen=True)
@@ -140,35 +158,27 @@ class GaussianMixture:
 
     def f(self, x):
         """Energy f(x); float for a single point, (m,) array for a batch."""
-        pts, single = _as_points(x, self.d)
-        _check_finite(pts)
-        a = self._logits(pts)
-        # one logaddexp pass takes the fewest numpy calls for single
-        # points, and it adds in component order for any m
-        val = (np.einsum("md,md->m", pts, pts) / (2.0 * self.sigma2)
-               - np.logaddexp.reduce(a, axis=0))
-        return float(val[0]) if single else val
+        return _evaluate(self, x, True, False)[0]
 
     def grad(self, x):
         """Gradient of f; same leading shape as the input."""
-        return self.f_and_grad(x, value=False)[1]
+        return _evaluate(self, x, False, True)[1]
 
     def f_and_grad(self, x, *, value=True):
-        """``(f(x), grad f(x))`` from one softmax pass.
+        """``(f(x), grad(x))``, shaped as theirs and with the bits of the separate calls.
 
-        Takes the inputs ``f`` takes; the energy is a float for a single
-        point and an (m,) array for a batch, the gradient has the input's
-        leading shape. With ``value=False`` the energy is not computed and
-        ``None`` stands in its place; the gradient is the same to the bit.
+        With ``value=False`` the energy is not computed and ``None``
+        stands in its place.
         """
-        pts, single = _as_points(x, self.d)
-        _check_finite(pts)
-        fv, g = self._f_grad(pts, value)
-        if single:
-            return (None if fv is None else float(fv[0])), g[0]
-        return fv, g
+        return _evaluate(self, x, value, True)
 
-    def _f_grad(self, pts, value=True):
+    def _energy(self, pts):
+        # one logaddexp pass takes the fewest numpy calls for single
+        # points, and it adds in component order for any m
+        return (np.einsum("md,md->m", pts, pts) / (2.0 * self.sigma2)
+                - np.logaddexp.reduce(self._logits(pts), axis=0))
+
+    def _grad(self, pts):
         # Work in the (d, m) layout so that einsum and the sums over
         # components run over rows innermost, which is fast and adds in the
         # same order for every row. The layout costs no copy when pts is the
@@ -182,18 +192,12 @@ class GaussianMixture:
             xt = np.repeat(xt, 2, axis=1)
         e = np.einsum("nd,dm->nm", self._mu_scaled, xt)
         e += self._a_shift
-        top = e.max(axis=0)
-        e -= top
+        e -= e.max(axis=0)
         np.exp(e, out=e)
-        s = e.sum(axis=0)
-        fv = None
-        if value:
-            fv = (np.einsum("dm,dm->m", xt, xt) / (2.0 * self.sigma2)
-                  - (top + np.log(s)))[:m]
-        e /= s
+        e /= e.sum(axis=0)
         g = xt - np.einsum("nm,nd->dm", e, self.means)
         g /= self.sigma2
-        return fv, g.T[:m]
+        return g.T[:m]
 
 
 @dataclass(frozen=True)
@@ -215,35 +219,21 @@ class SinusoidalPerturbation:
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
 
-    def _terms(self, pts, value=True, grad=True):
-        """Value and gradient, each when asked for, from one sine pass.
+    def value(self, pts):
+        return self.amplitude * np.prod(np.sin(pts / self.scale), axis=-1)
 
-        At d == 1 the gradient is (amplitude / scale) cos(x / scale), so a
-        gradient-only call takes no sines there.
-        """
+    def grad(self, pts):
+        """Gradient of ``value``; at d == 1, (amplitude / scale) cos(x / scale), with no sines."""
         z = pts / self.scale
         d = pts.shape[-1]
-        s = np.sin(z) if value or d > 1 else None
-        val = self.amplitude * np.prod(s, axis=-1) if value else None
-        if not grad:
-            return val, None
+        s = np.sin(z) if d > 1 else None
         c = np.cos(z)
         out = np.empty_like(c)
         for j in range(d):
             others = [k for k in range(d) if k != j]
             rest = np.prod(s[..., others], axis=-1) if others else 1.0
             out[..., j] = (self.amplitude / self.scale) * c[..., j] * rest
-        return val, out
-
-    def value(self, pts):
-        return self._terms(pts, grad=False)[0]
-
-    def grad(self, pts):
-        return self._terms(pts, value=False)[1]
-
-    def value_and_grad(self, pts):
-        """``(value(pts), grad(pts))`` with one sine and cosine pass."""
-        return self._terms(pts)
+        return out
 
     @property
     def delta(self) -> float:
@@ -289,33 +279,20 @@ class PerturbedTarget:
         return self.base.w_min
 
     def f(self, x):
-        pts, single = _as_points(x, self.d)
-        _check_finite(pts)
-        val = self.base.f(pts) + self.perturbation.value(pts)
-        return float(val[0]) if single else val
+        return _evaluate(self, x, True, False)[0]
 
     def grad(self, x):
-        return self.f_and_grad(x, value=False)[1]
+        return _evaluate(self, x, False, True)[1]
 
     def f_and_grad(self, x, *, value=True):
-        """``(f(x), grad f(x))``, shaped as ``GaussianMixture.f_and_grad``'s.
+        """``(f(x), grad(x))``, shaped as ``GaussianMixture.f_and_grad``'s."""
+        return _evaluate(self, x, value, True)
 
-        With ``value=False`` the energy is ``None``: neither the mixture's
-        nor the perturbation's value is computed, and the gradient is the
-        same to the bit.
-        """
-        pts, single = _as_points(x, self.d)
-        _check_finite(pts)
-        fv, g = self.base._f_grad(pts, value)
-        if value:
-            dv, dg = self.perturbation.value_and_grad(pts)
-            fv = fv + dv
-        else:
-            dg = self.perturbation.grad(pts)
-        g = g + dg
-        if single:
-            return (None if fv is None else float(fv[0])), g[0]
-        return fv, g
+    def _energy(self, pts):
+        return self.base._energy(pts) + self.perturbation.value(pts)
+
+    def _grad(self, pts):
+        return self.base._grad(pts) + self.perturbation.grad(pts)
 
 
 def locate_min(target, step=None, max_iter=10_000, tol=1e-8):

@@ -13,23 +13,24 @@ do not depend on the group it runs in, so outputs do not depend on how
 many workers execute the round. A stage runs at most
 ``params.max_retries`` rounds. One process pool serves a whole run, and
 every run option, the ladder scales and the proposal rule included,
-comes from ``RunParams``. The d <= 2 quadrature oracle imports
-``scipy.integrate`` on its first call. ``sample`` and ``compare`` never
-make it, since their TV summary normalizes on the Gauss-Legendre grid
-of ``diagnostics.exact_bin_masses``, so those runs, perturbed or not,
-and every pool worker they fork, load only numpy and ``scipy.special``.
+comes from ``RunParams``. The module imports only numpy; the d <= 2
+quadrature oracle imports ``scipy.integrate`` on its first call.
+``sample`` and ``compare`` never make it, since their TV summary
+normalizes on the Gauss-Legendre grid of ``diagnostics.exact_bin_masses``,
+so those runs, perturbed or not, and every pool worker they fork, load
+only numpy and the ``scipy.special`` that ``diagnostics`` imports.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BoundViolationError, RetriesExhaustedError
 from .langevin_kernel import check_step_size
@@ -127,7 +128,7 @@ def estimate_next_z(samples, target, beta_l, beta_next, log_zhat_l) -> float:
         raise ValueError("the ladder must be non-decreasing")
     fs = np.atleast_1d(target.f(samples))
     a = (beta_l - beta_next) * fs
-    log_ratio = float(logsumexp(a) - math.log(fs.shape[0]))
+    log_ratio = float(_logsumexp0(a) - math.log(fs.shape[0]))
     allowance = (beta_next - beta_l) * getattr(target, "delta", 0.0)
     if log_ratio > allowance + 1e-12:
         raise BoundViolationError("estimate ratio factor", log_ratio, allowance)
@@ -198,7 +199,8 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     level-ell endpoints to extend the estimates; the final stage
     collects ``n_samples`` top-level points from the full ladder and,
     when ``n_samples`` > 0, is the last of ``stats["phases"]``, one batch
-    stats dict per stage. With ``workers > 1`` one pool serves every stage.
+    stats dict per stage. With ``workers > 1`` one pool of at most as many
+    processes as usable CPUs serves every stage.
     """
     if params.seed is None:
         raise ValueError("params.seed is required for reproducible runs")
@@ -209,6 +211,11 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     lz = [0.0]
     phases = []
     samples = np.zeros((0, target.d))
+    # a fork pool starts all its processes at the first map, and more
+    # processes than CPUs only add forks; outputs depend on neither
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, cpus)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for ell in range(1, L):
             try:
@@ -280,7 +287,7 @@ def _accepted(mixture, xs, u, beta):
 
 
 def _logsumexp0(a):
-    """``scipy.special.logsumexp(a, axis=0)`` of a finite real 2-d array.
+    """``scipy.special.logsumexp(a, axis=0)`` of a finite real 1-d or 2-d array.
 
     Same operations in the same order, so the same bits, without scipy's
     array-API dispatch, which makes it several times slower on (2, 131072).

@@ -60,7 +60,10 @@ def test_unknown_run_option_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("t", None), ("eta", [0.1]), ("workers", None),
-                                        ("n_samples", None)])
+                                        ("n_samples", None), ("t", 40.9), ("m", 10.5),
+                                        ("workers", 1.7), ("seed", True),
+                                        ("max_retries", 100.2), ("n_samples", 20.9),
+                                        ("eta", True), ("workers", True)])
 def test_wrongly_typed_run_value_is_usage_error(tmp_path, capsys, key, value):
     run = {"eta": 0.1, "T": 0.5, "t": 80, "seed": 5}
     cfg = (write_config(tmp_path, n_samples=value) if key == "n_samples"
@@ -93,6 +96,9 @@ def test_run_section_keys_are_run_params_fields_plus_workers():
     ("target", "x", "target section"),
     ("perturbation", 3, "perturbation section"),
     ("perturbation", {"amplitude": None}, "perturbation.amplitude"),
+    ("perturbation", {"amplitude": True}, "perturbation.amplitude"),
+    ("perturbation", {"amplitude": 0.2, "scale": True}, "perturbation.scale"),
+    ("target", {"weights": [1.0], "means": [[0.0]], "sigma2": True}, "target.sigma2"),
     ("output_dir", 3, "output_dir"),
 ])
 def test_malformed_config_section_is_usage_error(tmp_path, capsys, section, value, named):
@@ -173,6 +179,7 @@ def test_compare_refuses_nonpositive_n_samples_before_sampling(tmp_path, capsys,
     ([], {"mode_radius": "abc"}, "mode_radius"),
     ([], {"mode_radius": [1.0]}, "mode_radius"),
     ([], {"mode_radius": -1}, "mode_radius"),
+    ([], {"mode_radius": True}, "mode_radius"),
 ])
 def test_bad_report_options_are_refused_before_sampling(tmp_path, capsys, monkeypatch,
                                                         command, flags, overrides, named):

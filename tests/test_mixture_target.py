@@ -169,37 +169,34 @@ def test_sinusoidal_perturbation_bounds():
         SinusoidalPerturbation(0.2, scale=0.0)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_fused_perturbation_is_bit_identical(d):
-    # f_and_grad takes value and gradient from one sine pass; they must be
-    # the bits of the separate calls, also on the (d, m) layout's transpose
-    pert = SinusoidalPerturbation(0.7, 1.3)
-    pts = np.random.default_rng(60 + d).uniform(-20.0, 20.0, size=(257, d))
-    for view in (pts, np.ascontiguousarray(pts.T).T):
-        val, grad = pert.value_and_grad(view)
-        assert val.tobytes() == pert.value(pts).tobytes()
-        assert np.array_equal(grad, pert.grad(pts))
-    target = PerturbedTarget(_generic_mixture(3, d, 61), pert)
-    fv, g = target.f_and_grad(pts)
-    assert fv.tobytes() == (target.base.f_and_grad(pts)[0] + pert.value(pts)).tobytes()
-    assert np.array_equal(g, target.base.grad(pts) + pert.grad(pts))
-
-
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gradient_only_call_is_bit_identical(d, perturbed):
-    # the Langevin kernel asks for value=False; skipping the energy terms
-    # must leave every bit of the gradient as f_and_grad(x) gives it
+    # each quantity has one formula: f_and_grad(x) gives the bits of f(x)
+    # and grad(x), and the Langevin kernel's value=False call the same
+    # gradient, for a single point, an (m, d) batch and the transpose of
+    # the (d, m) layout the engine passes
     target = _generic_mixture(3, d, 70 + d)
     if perturbed:
         target = PerturbedTarget(target, SinusoidalPerturbation(0.7, 1.3))
     pts = np.random.default_rng(71 + d).uniform(-20.0, 20.0, size=(257, d))
+    g_ref = target.grad(pts)
     for x in (pts[0], pts, np.ascontiguousarray(pts.T).T):
-        fv, g = target.f_and_grad(x, value=False)
-        assert fv is None
+        fv, g = target.f_and_grad(x)
+        f_only = target.f(x)
+        assert type(fv) is type(f_only)
+        assert np.asarray(fv).tobytes() == np.asarray(f_only).tobytes()
         assert g.shape == x.shape
-        assert g.tobytes() == target.f_and_grad(x)[1].tobytes()
-    assert target.grad(pts).tobytes() == target.f_and_grad(pts)[1].tobytes()
+        assert g.tobytes() == target.grad(x).tobytes()
+        none, g_only = target.f_and_grad(x, value=False)
+        assert none is None
+        assert g_only.tobytes() == g.tobytes()
+        if x.ndim == 2:
+            assert g.tobytes() == g_ref.tobytes()
+    if perturbed:
+        base, pert = target.base, target.perturbation
+        assert target.f(pts).tobytes() == (base.f(pts) + pert.value(pts)).tobytes()
+        assert np.array_equal(g_ref, base.grad(pts) + pert.grad(pts))
 
 
 def test_perturbed_target_composition(desk):

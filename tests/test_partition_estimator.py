@@ -1,6 +1,7 @@
 """Tests for the inductive partition-function estimator and its oracles."""
 import json
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -156,6 +157,42 @@ def test_worker_invariance_with_several_groups(cheap):
             np.testing.assert_array_equal(pa[key], pc[key])
 
 
+def test_pool_has_no_more_processes_than_usable_cpus(cheap, monkeypatch):
+    # a fork pool starts all its processes at the first map, so the pool
+    # size is capped at the usable CPUs; the pool here maps in-process, and
+    # the test starts no process
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    def usable_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    monkeypatch.setattr(partition_estimator, "ProcessPoolExecutor", InProcessPool)
+    params = RunParams(eta=0.1, T=0.5, t=40, seed=22)
+    ref = run_main_algorithm(cheap, params, n_samples=1000)
+    usable_cpus(2)
+    capped = run_main_algorithm(cheap, params, n_samples=1000, workers=64)
+    assert made == [2]
+    usable_cpus(1)
+    alone = run_main_algorithm(cheap, params, n_samples=1000, workers=3)
+    assert made == [2]
+    for res in (capped, alone):
+        np.testing.assert_array_equal(res.samples, ref.samples)
+        np.testing.assert_array_equal(res.estimates.log_zhat, ref.estimates.log_zhat)
+
+
 def test_round_budget_is_max_retries(cheap):
     # every stage fills up in its first round, which must not count as failure
     one_round = RunParams(eta=0.1, T=0.5, t=40, m=10, seed=3, max_retries=1)
@@ -246,6 +283,13 @@ def test_logsumexp0_matches_scipy_bit_for_bit():
             a[:, 100:200] = np.round(a[:, 100:200])  # some rows tied
             np.testing.assert_array_equal(partition_estimator._logsumexp0(a),
                                           logsumexp(a, axis=0))
+    # estimate_next_z's 1-d weights against scipy's default axis=None
+    for n in (1, 2, 7, 3000):
+        for scale in (0.01, 1.0, 50.0, 700.0):
+            a = rng.normal(size=n) * scale
+            for v in (a, np.round(a), np.full(n, a[0]), np.zeros(n)):
+                assert (np.float64(partition_estimator._logsumexp0(v)).tobytes()
+                        == np.float64(logsumexp(v)).tobytes())
 
 
 def _reference_exact_draws(mix, n, rng, beta):

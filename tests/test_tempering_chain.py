@@ -454,7 +454,10 @@ def test_run_params_convert_once():
 
 @pytest.mark.parametrize("field, value", [("t", None), ("eta", [0.1]), ("T", "fast"),
                                           ("max_retries", None), ("c2", {}),
-                                          ("m", float("inf"))])
+                                          ("m", float("inf")), ("t", 40.9), ("m", 10.5),
+                                          ("seed", True), ("max_retries", 100.2),
+                                          ("m", np.float64(2.5)), ("eta", True),
+                                          ("T", False), ("c1", True), ("c2", False)])
 def test_run_params_wrong_type_names_the_field(field, value):
     kwargs = dict(eta=0.1, T=0.5, t=10)
     kwargs[field] = value
