@@ -166,9 +166,16 @@ class Partition:
         if flat != list(range(n)):
             raise ValueError(f"partition must cover exactly the {n} states")
 
+    def indicator(self, n):
+        """(blocks, n) 0/1 matrix M of block membership: block masses are ``M @ p``."""
+        M = np.zeros((len(self.blocks), n))
+        rows = np.repeat(np.arange(len(self.blocks)), [len(b) for b in self.blocks])
+        M[rows, np.concatenate(self.blocks)] = 1.0
+        return M
+
     def masses(self, p):
         p = np.asarray(p, dtype=float)
-        return np.array([p[list(b)].sum() for b in self.blocks])
+        return self.indicator(len(p)) @ p
 
     def is_refinement_of(self, coarser: "Partition") -> bool:
         sets = [set(b) for b in coarser.blocks]
@@ -283,16 +290,11 @@ def restrict(chain: FiniteChain, subset) -> FiniteChain:
 
 
 def project(chain: FiniteChain, partition: Partition) -> FiniteChain:
-    """Block-level chain with aggregated flows; stationary law is block masses."""
+    """Block-level chain ``M Q M^T / p(A)`` with block masses as stationary law."""
     partition.validate_for(chain.n)
-    J = len(partition.blocks)
-    pb = partition.masses(chain.p)
-    Pb = np.empty((J, J))
-    for i, A in enumerate(partition.blocks):
-        rows = chain.p[list(A), None] * chain.P[list(A), :]
-        for j, B in enumerate(partition.blocks):
-            Pb[i, j] = rows[:, list(B)].sum() / pb[i]
-    return FiniteChain(Pb, stationary=pb)
+    M = partition.indicator(chain.n)
+    pb = M @ chain.p
+    return FiniteChain((M @ chain.flow() @ M.T) / pb[:, None], stationary=pb)
 
 
 def gap_product_check(chain: FiniteChain, partition: Partition):
@@ -301,10 +303,8 @@ def gap_product_check(chain: FiniteChain, partition: Partition):
     Verifies ``(1/2) Gap(projected) * min_block Gap(restricted) <= Gap
     <= Gap(projected)`` and returns the triple (lhs, gap, rhs).
     """
-    partition.validate_for(chain.n)
     gap_bar = spectral_gap(project(chain, partition))
-    min_rest = min(spectral_gap(restrict(chain, A)) for A in partition.blocks)
-    lhs = 0.5 * gap_bar * min_rest
+    lhs = 0.5 * gap_bar * _min_restriction_gap([chain], [partition])
     gap = spectral_gap(chain)
     if lhs > gap + 1e-9:
         raise BoundViolationError("gap-product lower bound", lhs, gap)
@@ -370,20 +370,41 @@ def overlap_delta(distributions, partitions) -> float:
     for i in range(1, len(distributions)):
         prev = np.asarray(distributions[i - 1], dtype=float)
         cur = np.asarray(distributions[i], dtype=float)
-        for A in partitions[i].blocks:
-            mass = cur[list(A)].sum()
-            if mass <= 0:
-                raise ValueError(f"partition block {A} has zero mass")
-            delta = min(delta, np.minimum(prev[list(A)], cur[list(A)]).sum() / mass)
+        M = partitions[i].indicator(len(cur))
+        mass = M @ cur
+        if np.any(mass <= 0):
+            A = partitions[i].blocks[int(np.argmax(mass <= 0))]
+            raise ValueError(f"partition block {A} has zero mass")
+        delta = min(delta, float((M @ np.minimum(prev, cur) / mass).min()))
     return float(delta)
 
 
 def _min_restriction_gap(base_chains, partitions):
-    return min(
-        spectral_gap(restrict(chain, A))
-        for chain, part in zip(base_chains, partitions)
-        for A in part.blocks
-    )
+    return min(spectral_gap(restrict(chain, A))
+               for chain, part in zip(base_chains, partitions) for A in part.blocks)
+
+
+def _ladder_terms(base_chains, rel_weights, partitions, proposal_mode, refining=False):
+    """(gap, delta, r, min restriction gap) of a ladder after checking its partitions.
+
+    Refuses a partition count other than L, partitions that miss states, a
+    first level other than the whole space and, if ``refining``, a partition
+    that does not refine its predecessor, in that order.
+    """
+    if len(partitions) != len(base_chains):
+        raise ValueError("need one partition per level")
+    for part in partitions:
+        part.validate_for(base_chains[0].n)
+    if len(partitions[0].blocks) != 1:
+        raise ValueError("the first level's partition must be the whole space")
+    if refining:
+        for i in range(len(partitions) - 1):
+            if not partitions[i + 1].is_refinement_of(partitions[i]):
+                raise ValueError(f"partition {i + 2} does not refine partition {i + 1}")
+    gap = spectral_gap(build_tempering_chain(base_chains, rel_weights, proposal_mode))
+    delta = overlap_delta([c.p for c in base_chains], partitions)
+    r = np.asarray(rel_weights, dtype=float)
+    return gap, delta, float(r.min() / r.max()), _min_restriction_gap(base_chains, partitions)
 
 
 def tempering_gap_bound_check(base_chains, rel_weights, partitions, proposal_mode="uniform"):
@@ -395,28 +416,11 @@ def tempering_gap_bound_check(base_chains, rel_weights, partitions, proposal_mod
     proposals) or the ``/(128 L^2)`` variant (neighbor proposals),
     checks it lower-bounds the actual gap, and returns (bound, gap).
     """
+    gap, delta, r, min_gap = _ladder_terms(base_chains, rel_weights, partitions, proposal_mode)
     L = len(base_chains)
-    if len(partitions) != L:
-        raise ValueError("need one partition per level")
-    n = base_chains[0].n
-    for part in partitions:
-        part.validate_for(n)
-    if len(partitions[0].blocks) != 1:
-        raise ValueError("the first level's partition must be the whole space")
-    chain = build_tempering_chain(base_chains, rel_weights, proposal_mode)
-    gap = spectral_gap(chain)
-    ps = [c.p for c in base_chains]
-    delta = overlap_delta(ps, partitions)
-    p_min = min(
-        float(part.masses(p).min()) for p, part in zip(ps, partitions)
-    )
-    r = np.asarray(rel_weights, dtype=float)
-    r = float(r.min() / r.max())
-    min_gap = _min_restriction_gap(base_chains, partitions)
-    if proposal_mode == "uniform":
-        bound = r**4 * delta**2 * p_min**2 / (32.0 * L**4) * min_gap
-    else:
-        bound = r**4 * delta**2 * p_min**2 / (128.0 * L**2) * min_gap
+    p_min = min(float(part.masses(c.p).min()) for c, part in zip(base_chains, partitions))
+    scale = 32.0 * L**4 if proposal_mode == "uniform" else 128.0 * L**2
+    bound = r**4 * delta**2 * p_min**2 / scale * min_gap
     if bound > gap + 1e-12:
         raise BoundViolationError("tempering gap bound", bound, gap)
     return bound, gap
@@ -431,30 +435,15 @@ def refinement_gap_bound_check(base_chains, rel_weights, partitions):
     the worst mass ratio of a coarse block under a finer level's law.
     Returns (bound, gap).
     """
-    L = len(base_chains)
-    if len(partitions) != L:
-        raise ValueError("need one partition per level")
-    n = base_chains[0].n
-    for part in partitions:
-        part.validate_for(n)
-    if len(partitions[0].blocks) != 1:
-        raise ValueError("the first level's partition must be the whole space")
-    for i in range(L - 1):
-        if not partitions[i + 1].is_refinement_of(partitions[i]):
-            raise ValueError(f"partition {i + 2} does not refine partition {i + 1}")
-    chain = build_tempering_chain(base_chains, rel_weights, "uniform")
-    gap = spectral_gap(chain)
-    ps = [c.p for c in base_chains]
-    delta = overlap_delta(ps, partitions)
+    gap, delta, r, min_gap = _ladder_terms(base_chains, rel_weights, partitions, "uniform",
+                                           refining=True)
+    ps = np.array([c.p for c in base_chains])
     gamma = 1.0
-    for i1 in range(L):
-        for i2 in range(i1, L):
-            m1 = partitions[i1].masses(ps[i1])
-            m2 = partitions[i1].masses(ps[i2])
-            gamma = min(gamma, float((m1 / m2).min()))
-    r = np.asarray(rel_weights, dtype=float)
-    r = float(r.min() / r.max())
-    bound = r**2 * gamma * delta / (32.0 * L**3) * _min_restriction_gap(base_chains, partitions)
+    for i, part in enumerate(partitions):
+        # row k: the masses of level i's blocks under level i + k's law
+        m = ps[i:] @ part.indicator(ps.shape[1]).T
+        gamma = min(gamma, float((m[0] / m).min()))
+    bound = r**2 * gamma * delta / (32.0 * len(ps)**3) * min_gap
     if bound > gap + 1e-12:
         raise BoundViolationError("refinement gap bound", bound, gap)
     return bound, gap

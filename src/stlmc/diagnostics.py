@@ -126,11 +126,12 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
 
     Plain mixtures at beta = 1 use the closed-form Gaussian cell masses.
     Otherwise one 12-point Gauss-Legendre rule per panel and axis (a
-    product rule in 2D) integrates exp(-beta f) over the bins and over
-    about sigma-wide tail panels that extend each axis to the box
-    [-(D + 8 sigma), D + 8 sigma] of ``log_partition_quadrature``, or to
-    the histogram's box where that reaches further. The bin integrals
-    divided by the integral over the whole grid are the masses.
+    product rule in 2D) integrates exp(-beta f) over panels at most about
+    sigma wide: each bin split into ceil(width / sigma) equal panels, and
+    tail panels that extend each axis to the box [-(D + 8 sigma), D + 8
+    sigma] of ``log_partition_quadrature``, or to the histogram's box
+    where that reaches further. The bin integrals divided by the integral
+    over the whole grid are the masses.
     """
     if histogram.d != target.d:
         raise ValueError("histogram and target dimensions differ")
@@ -146,16 +147,18 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
         return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
     R = target.D + 8.0 * sigma
     nodes, gl_w = np.polynomial.legendre.leggauss(12)
-    axes, halves, inner = [], [], []
+    axes, halves, inner, split = [], [], [], []
     for axis in range(target.d):
         e = histogram.edges(axis)
+        k = max(1, math.ceil((e[-1] - e[0]) / histogram.bins / sigma))
         below = _panels(-R, e[0], sigma)[:-1]
         above = _panels(e[-1], R, sigma)[1:]
-        panels = np.concatenate([below, e, above])
+        panels = np.concatenate([below, np.linspace(e[0], e[-1], histogram.bins * k + 1), above])
         half = np.diff(panels) / 2.0
         axes.append(((panels[:-1] + half)[:, None] + half[:, None] * nodes).ravel())
         halves.append(half)
-        inner.append(slice(below.size, below.size + histogram.bins))
+        inner.append(slice(below.size, below.size + histogram.bins * k))
+        split += [histogram.bins, k]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, target.d)
     vals = np.empty(pts.shape[0])
     for first in range(0, pts.shape[0], _F_ROWS):
@@ -166,7 +169,9 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
         vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
     for axis, half in enumerate(halves):
         vals *= half.reshape((-1,) + (1,) * (target.d - 1 - axis))
-    return vals[tuple(inner)] / vals.sum()
+    # add each bin's k panels back together
+    binned = vals[tuple(inner)].reshape(split).sum(axis=tuple(range(1, 2 * target.d, 2)))
+    return binned / vals.sum()
 
 
 def _panels(a, b, width):

@@ -81,7 +81,9 @@ def _evaluate(target, x, value, grad):
     """
     pts, single = _as_points(x, target.d)
     _check_finite(pts)
-    fv = target._energy(pts) if value else None
+    # the energy's sums over coordinates add in memory order, so C-ordered
+    # rows keep its bits whatever the layout of x
+    fv = target._energy(np.ascontiguousarray(pts)) if value else None
     g = target._grad(pts) if grad else None
     if single:
         return (None if fv is None else float(fv[0])), (None if g is None else g[0])
@@ -364,7 +366,7 @@ def close_to_sum_ratio(mixture: GaussianMixture, beta, x):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     pts, single = _as_points(x, mixture.d)
     _check_finite(pts)
-    a = mixture._logits(pts)
+    a = mixture._logits(np.ascontiguousarray(pts))
     # with q = ||x||^2 / (2 sigma2), -beta f = beta logsumexp_i a_i - beta q and
     # log gtilde_beta = logsumexp_i(log w_i + beta (a_i - log w_i)) - beta q
     log_w = np.log(mixture.weights)[:, None]

@@ -677,15 +677,19 @@ def run_suite(name):
 
 
 def run_suites(names):
-    """Run suites in order ('all' expands to every suite); returns name -> results."""
+    """Run suites in order ('all' expands to every suite); returns name -> results.
+
+    Every name is checked before any suite runs; an unknown one raises
+    ValueError listing the choices.
+    """
     expanded = []
     for name in names:
-        if name == "all":
-            expanded.extend(available_suites())
+        key = name.replace("_", "-")
+        if key == "all":
+            expanded.extend(_SUITES)
+        elif key in _SUITES:
+            expanded.append(key)
         else:
-            expanded.append(name.replace("_", "-"))
-    out = {}
-    for name in expanded:
-        if name not in out:
-            out[name] = run_suite(name)
-    return out
+            raise ValueError(f"unknown suite '{name}'; choose from "
+                             + ", ".join(sorted([*_SUITES, "all"])))
+    return {name: _SUITES[name]() for name in dict.fromkeys(expanded)}

@@ -259,6 +259,44 @@ def test_overlap_delta_values():
         overlap_delta([p1, p2], [whole])
 
 
+def test_block_quantities_match_per_block_sums():
+    # the indicator-matrix forms against direct sums over each block's states
+    rng = np.random.default_rng(12)
+    for _ in range(15):
+        n = int(rng.integers(2, 8))
+        L = int(rng.integers(2, 4))
+        chains = [random_reversible_chain(n, rng) for _ in range(L)]
+        w = rng.random(L) + 0.2
+        w = w / w.sum()
+        # each level splits every block of the one before it at random
+        labels = np.zeros(n, dtype=int)
+        parts = [Partition.whole(n)]
+        for _ in range(L - 1):
+            labels = 2 * labels + rng.integers(0, 2, size=n)
+            parts.append(Partition.from_labels(labels))
+        ps = [c.p for c in chains]
+        part = parts[-1]
+        Q = chains[0].flow()
+        pb = np.array([ps[0][list(A)].sum() for A in part.blocks])
+        np.testing.assert_allclose(part.masses(ps[0]), pb, rtol=1e-13, atol=0)
+        flows = np.array([[Q[np.ix_(A, B)].sum() for B in part.blocks] for A in part.blocks])
+        np.testing.assert_allclose(project(chains[0], part).P, flows / pb[:, None],
+                                   rtol=1e-12, atol=1e-15)
+        delta = min(np.minimum(ps[i - 1][list(A)], ps[i][list(A)]).sum() / ps[i][list(A)].sum()
+                    for i in range(1, L) for A in parts[i].blocks)
+        assert overlap_delta(ps, parts) == pytest.approx(min(delta, 1.0), rel=1e-13)
+        gamma = min(ps[i1][list(A)].sum() / ps[i2][list(A)].sum()
+                    for i1 in range(L) for i2 in range(i1, L) for A in parts[i1].blocks)
+        min_gap = min(spectral_gap(restrict(c, A)) for c, pt in zip(chains, parts)
+                      for A in pt.blocks)
+        gap = spectral_gap(build_tempering_chain(chains, w, "uniform"))
+        r = w.min() / w.max()
+        expected = r**2 * min(gamma, 1.0) * min(delta, 1.0) / (32.0 * L**3) * min_gap
+        bound, gap_seen = refinement_gap_bound_check(chains, w, parts)
+        assert bound == pytest.approx(expected, rel=1e-12)
+        assert gap_seen == gap
+
+
 def test_tempering_gap_bounds_random_instances():
     rng = np.random.default_rng(1)
     for _ in range(20):

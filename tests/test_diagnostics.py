@@ -183,6 +183,27 @@ def test_exact_bin_masses_normalizer_matches_cubature(desk, d, bins, beta):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("bins", [2, 4])
+def test_exact_bin_masses_resolves_bins_wider_than_sigma(desk, bins):
+    # one 12-point rule over a 4.5- or 9-sigma bin of a fast-oscillating
+    # perturbation is off by up to 6e-3; adaptive quad on half-sigma pieces is not
+    from scipy.integrate import quad
+
+    target = PerturbedTarget(desk, SinusoidalPerturbation(0.2, 0.3))
+
+    def integral(a, b):
+        cuts = np.linspace(a, b, math.ceil((b - a) / 0.5) + 1)
+        return sum(quad(lambda x: math.exp(-target.f(x)), u, v, epsabs=0.0, epsrel=1e-13)[0]
+                   for u, v in zip(cuts[:-1], cuts[1:]))
+
+    lo, hi = default_box(target)
+    h = Histogram(lo, hi, bins, np.zeros(bins, dtype=np.int64), 0)
+    e = h.edges()
+    # the rule normalizes on [-(D + 8 sigma), D + 8 sigma], past which lies < 1e-14 of the mass
+    expected = np.array([integral(u, v) for u, v in zip(e[:-1], e[1:])]) / integral(-11.0, 11.0)
+    np.testing.assert_allclose(exact_bin_masses(target, h), expected, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("lo, hi", [([-15.0], [15.0]), ([-5.0], [15.0]), ([-15.0], [5.0]),
                                     ([-15.0, -5.0], [15.0, 15.0])])
 def test_exact_bin_masses_box_past_the_quadrature_box(desk, lo, hi):

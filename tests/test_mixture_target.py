@@ -170,18 +170,23 @@ def test_sinusoidal_perturbation_bounds():
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_gradient_only_call_is_bit_identical(d, perturbed):
     # each quantity has one formula: f_and_grad(x) gives the bits of f(x)
     # and grad(x), and the Langevin kernel's value=False call the same
     # gradient, for a single point, an (m, d) batch and the transpose of
-    # the (d, m) layout the engine passes
+    # the (d, m) layout the engine passes; a batch's bits do not depend
+    # on its memory layout
     target = _generic_mixture(3, d, 70 + d)
     if perturbed:
         target = PerturbedTarget(target, SinusoidalPerturbation(0.7, 1.3))
     pts = np.random.default_rng(71 + d).uniform(-20.0, 20.0, size=(257, d))
-    g_ref = target.grad(pts)
-    for x in (pts[0], pts, np.ascontiguousarray(pts.T).T):
+    f_ref, g_ref = target.f(pts), target.grad(pts)
+    mix = target.base if perturbed else target
+    view = np.ascontiguousarray(pts.T).T
+    assert (close_to_sum_ratio(mix, 0.3, view).tobytes()
+            == close_to_sum_ratio(mix, 0.3, pts).tobytes())
+    for x in (pts[0], pts, view):
         fv, g = target.f_and_grad(x)
         f_only = target.f(x)
         assert type(fv) is type(f_only)
@@ -192,6 +197,7 @@ def test_gradient_only_call_is_bit_identical(d, perturbed):
         assert none is None
         assert g_only.tobytes() == g.tobytes()
         if x.ndim == 2:
+            assert fv.tobytes() == f_ref.tobytes()
             assert g.tobytes() == g_ref.tobytes()
     if perturbed:
         base, pert = target.base, target.perturbation

@@ -1,19 +1,30 @@
 """Tests for the built-in self-check suites."""
 import pytest
 
-from stlmc.verification import available_suites, run_suite, run_suites
+from stlmc import verification
+from stlmc.verification import CheckResult, available_suites, run_suite, run_suites
 
 
-# the suites take seconds each, so the tests share two full passes
-@pytest.fixture(scope="module")
-def each_suite():
-    """One ``run_suite`` call per suite."""
-    return {name: run_suite(name) for name in available_suites()}
-
-
+# the suites take seconds each, so the tests share one full pass
 @pytest.fixture(scope="module")
 def all_suites():
     return run_suites(["all"])
+
+
+@pytest.fixture
+def stub_suites(monkeypatch):
+    """Two instant suites in place of the real ones; ``calls`` logs each run."""
+    calls = []
+
+    def suite(name):
+        def run():
+            calls.append(name)
+            return [CheckResult(f"{name} check", True, "ok")]
+        return run
+
+    monkeypatch.setattr(verification, "_SUITES",
+                        {"first": suite("first"), "second-one": suite("second-one")})
+    return calls
 
 
 def test_available_suites_listing():
@@ -34,8 +45,8 @@ def test_available_suites_listing():
     "tempering-bounds",
     "diagnostics",
 ])
-def test_each_suite_passes(suite, each_suite):
-    results = each_suite[suite]
+def test_each_suite_passes(suite, all_suites):
+    results = all_suites[suite]
     assert len(results) > 0
     failures = [r for r in results if not r.ok]
     assert failures == []
@@ -49,16 +60,21 @@ def test_unknown_suite_raises():
         run_suite("nonsense")
 
 
-def test_run_suites_all_collects_everything(all_suites, each_suite):
-    results = all_suites
-    assert sorted(results) == sorted(available_suites())
-    total = sum(len(checks) for checks in results.values())
-    assert total == sum(len(each_suite[s]) for s in available_suites())
-    assert all(r.ok for checks in results.values() for r in checks)
+def test_run_suites_all_collects_everything(stub_suites):
+    results = run_suites(["all"])
+    assert list(results) == ["first", "second-one"]
+    assert stub_suites == ["first", "second-one"]
+    assert [r.name for r in results["first"]] == ["first check"]
 
 
-def test_run_suites_subset_keys(each_suite):
-    results = run_suites(["diagnostics", "chain-analysis"])
-    assert sorted(results) == ["chain-analysis", "diagnostics"]
-    names = [r.name for r in results["diagnostics"]]
-    assert names == [r.name for r in each_suite["diagnostics"]]
+def test_run_suites_subset_keys(stub_suites):
+    results = run_suites(["second_one", "first", "second-one", "all"])
+    assert list(results) == ["second-one", "first"]
+    assert stub_suites == ["second-one", "first"]
+
+
+def test_run_suites_checks_every_name_before_running(stub_suites):
+    with pytest.raises(ValueError, match="unknown suite 'bogus'; choose from all, first, "
+                                         "second-one"):
+        run_suites(["first", "bogus"])
+    assert stub_suites == []
