@@ -21,6 +21,7 @@ import numpy as np
 from .chain_analysis import discretize_langevin_generator, z_ratio_bound_check
 from .diagnostics import (
     Histogram,
+    bin_mass_points,
     default_box,
     exact_bin_masses,
     mode_occupancy,
@@ -35,7 +36,7 @@ from .errors import (
     _coerce,
 )
 from .langevin_kernel import check_step_size, run_macro_step
-from .mixture_target import GaussianMixture, PerturbedTarget, target_from_config
+from .mixture_target import GaussianMixture, target_from_config
 from .partition_estimator import (
     log_partition_quadrature,
     run_main_algorithm,
@@ -47,6 +48,8 @@ from .verification import run_suites
 # the run options RunParams gives no default, and the CLI's own option
 _RUN_DEFAULTS = {"eta": 0.1, "T": 0.5, "t": 300, "workers": 1}
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunParams)} | {"workers"}
+# the most points the TV step's exact bin masses may take (2D, 100 bins: 1.56 M)
+_TV_POINTS = 2**24
 
 
 def _load_target(path):
@@ -105,11 +108,6 @@ def _out_path(args, cfg):
     return out
 
 
-def _mode_centers(target):
-    base = target.base if isinstance(target, PerturbedTarget) else target
-    return base.means
-
-
 def _mode_radius(args, cfg, target):
     r = args.mode_radius if args.mode_radius is not None else cfg.get("mode_radius")
     if r is None:
@@ -163,7 +161,7 @@ def _measure(target, samples, radius, bins):
     per axis on the default box, which need no cubature call, and None
     for d > 2.
     """
-    frac, rest = mode_occupancy(samples, _mode_centers(target), radius)
+    frac, rest = mode_occupancy(samples, target.means, radius)
     tv = None
     if target.d <= 2:
         lo, hi = default_box(target)
@@ -176,7 +174,8 @@ def _main_run(args, with_samples):
     """The part of sample, compare and estimate-z before their reports.
 
     Reads the config, target, run parameters, output path and, ``with_samples``,
-    the sample count, histogram bins and mode radius, and checks the step
+    the sample count, histogram bins and mode radius, refusing bins whose
+    TV step would take more than ``_TV_POINTS`` points, and checks the step
     size; then runs the main algorithm. Returns ``(target, params, workers,
     out, radius, result)``, with radius None without samples; the caller
     makes ``out`` once its own computation has succeeded.
@@ -189,8 +188,13 @@ def _main_run(args, with_samples):
         n_samples = _coerce("n_samples", int, n_samples)
         if n_samples < 1:
             raise ConfigError(f"n_samples must be positive for {args.command}")
-        if _coerce("bins", int, args.bins) < 1:
+        bins = _coerce("bins", int, args.bins)
+        if bins < 1:
             raise ConfigError(f"bins must be a positive integer (got {args.bins!r})")
+        points = bin_mass_points(target, *default_box(target), bins) if target.d <= 2 else 0
+        if points > _TV_POINTS:
+            raise ConfigError(f"bins={bins} would evaluate the TV step's exact masses at "
+                              f"{points} points, more than {_TV_POINTS}")
         radius = _mode_radius(args, cfg, target)
     check_step_size(params.eta, target)
     out = _out_path(args, cfg)
@@ -202,7 +206,7 @@ def cmd_sample(args) -> int:
     target, params, workers, out, radius, result = _main_run(args, with_samples=True)
     lines = [
         "# stlmc sample summary v1",
-        f"target: d={target.d} modes={_mode_centers(target).shape[0]} "
+        f"target: d={target.d} modes={target.means.shape[0]} "
         f"sigma2={target.sigma2:.6g} D={target.D:.6g}",
         f"ladder: L={result.ladder.L} proposal_mode={params.proposal_mode}",
         "betas: " + " ".join(f"{b:.6f}" for b in result.ladder.betas),
@@ -239,7 +243,7 @@ def cmd_compare(args) -> int:
     # plain level-1.0 chains from the first mode burning the same gradient count
     steps = max(1, budget // n_chains)
     rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(2_000_000,)))
-    start = np.tile(_mode_centers(target)[0], (n_chains, 1))
+    start = np.tile(target.means[0], (n_chains, 1))
     plain = run_macro_step(target, start, rng, params.eta, steps)
 
     lines = ["# stlmc compare v1"]
@@ -287,7 +291,7 @@ def cmd_analyze(args) -> int:
     out = _out_path(args, cfg)
     ladder = make_ladder(target, params.c1, params.c2)
     cells = args.cells if args.cells is not None else (400 if target.d == 1 else 40)
-    n_modes = _mode_centers(target).shape[0]
+    n_modes = target.means.shape[0]
     sigma = math.sqrt(target.sigma2)
 
     lines = ["# stlmc analyze report v1",

@@ -16,6 +16,8 @@ from .mixture_target import GaussianMixture, _as_points
 # 100 bins holds 1.56 million; one f call on all of them took a process's
 # peak from 55 to 170 MiB, blocks of this size to 115 MiB at the same speed.
 _F_ROWS = 65_536
+# Gauss-Legendre nodes per panel and axis in exact_bin_masses
+_GL_NODES = 12
 
 __all__ = [
     "Histogram",
@@ -23,6 +25,7 @@ __all__ = [
     "tv_from_masses",
     "tv_distance",
     "exact_bin_masses",
+    "bin_mass_points",
     "chi_sq_divergence",
     "chi_sq_mixture_check",
     "kl_divergence",
@@ -146,13 +149,13 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
             return target.weights @ per_axis[0]
         return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
     R = target.D + 8.0 * sigma
-    nodes, gl_w = np.polynomial.legendre.leggauss(12)
+    nodes, gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
     axes, halves, inner, split = [], [], [], []
     for axis in range(target.d):
         e = histogram.edges(axis)
-        k = max(1, math.ceil((e[-1] - e[0]) / histogram.bins / sigma))
-        below = _panels(-R, e[0], sigma)[:-1]
-        above = _panels(e[-1], R, sigma)[1:]
+        n_below, k, n_above = _axis_panels(target, e[0], e[-1], histogram.bins)
+        below = np.linspace(-R, e[0], n_below + 1)[:-1]
+        above = np.linspace(e[-1], R, n_above + 1)[1:]
         panels = np.concatenate([below, np.linspace(e[0], e[-1], histogram.bins * k + 1), above])
         half = np.diff(panels) / 2.0
         axes.append(((panels[:-1] + half)[:, None] + half[:, None] * nodes).ravel())
@@ -163,7 +166,7 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     vals = np.empty(pts.shape[0])
     for first in range(0, pts.shape[0], _F_ROWS):
         vals[first:first + _F_ROWS] = target.f(pts[first:first + _F_ROWS])
-    vals = np.exp(-beta * vals).reshape([n for half in halves for n in (half.size, 12)])
+    vals = np.exp(-beta * vals).reshape([n for half in halves for n in (half.size, _GL_NODES)])
     # contract each panel's node axis with the weights, leaving one axis per dimension
     for axis in range(1, target.d + 1):
         vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
@@ -174,12 +177,33 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     return binned / vals.sum()
 
 
-def _panels(a, b, width):
-    """Edges from a to b, both included, of equal panels at most ``width`` wide.
+def _axis_panels(target, lo, hi, bins):
+    """Panel counts on one axis of ``exact_bin_masses``' grid: (below, per bin, above).
 
-    Gives just ``[a]`` when b <= a.
+    Each of the ``bins`` bins of [lo, hi] splits into ceil(width / sigma)
+    equal panels, and equal tail panels at most sigma wide run from -R to
+    lo and from hi to R, R = D + 8 sigma; a side the bins already reach
+    past gets none.
     """
-    return np.linspace(a, b, max(0, math.ceil((b - a) / width)) + 1)
+    sigma = math.sqrt(target.sigma2)
+    R = target.D + 8.0 * sigma
+    per_bin = max(1, math.ceil((hi - lo) / bins / sigma))
+    return max(0, math.ceil((lo + R) / sigma)), per_bin, max(0, math.ceil((R - hi) / sigma))
+
+
+def bin_mass_points(target, box_lo, box_hi, bins) -> int:
+    """Points at which ``exact_bin_masses`` at beta = 1 evaluates a (bins,)*d histogram.
+
+    ``bins**d`` cells for a plain mixture's closed form, else the
+    Gauss-Legendre nodes of the product grid; counted without building it.
+    """
+    if isinstance(target, GaussianMixture):
+        return bins ** target.d
+    points = 1
+    for lo, hi in zip(box_lo, box_hi):
+        n_below, k, n_above = _axis_panels(target, lo, hi, bins)
+        points *= _GL_NODES * (n_below + bins * k + n_above)
+    return points
 
 
 def _check_dist(v, name):

@@ -280,6 +280,11 @@ class PerturbedTarget:
     def w_min(self) -> float:
         return self.base.w_min
 
+    @property
+    def means(self) -> np.ndarray:
+        """The base mixture's means, the centers of the perturbed modes."""
+        return self.base.means
+
     def f(self, x):
         return _evaluate(self, x, True, False)[0]
 
@@ -314,8 +319,7 @@ def locate_min(target, step=None, max_iter=10_000, tol=1e-8):
     """
     if step is None:
         step = 0.1 * target.sigma2
-    base = target.base if isinstance(target, PerturbedTarget) else target
-    starts = np.vstack([base.means, np.zeros((1, target.d))])
+    starts = np.vstack([target.means, np.zeros((1, target.d))])
     x = starts.copy()
     done = np.zeros(len(x), dtype=bool)
     for _ in range(max_iter):

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _PROPOSAL_MODES = ("uniform", "neighbor")
+# the most levels make_ladder builds; the tests, checks and benchmark use at most 143
+_MAX_LEVELS = 10_000
 # attempts per round of run_stlmc; params.max_retries rounds run at most
 _TRACE_ROWS = 100
 
@@ -135,6 +137,8 @@ def make_ladder(target, c1=1.0, c2=1.0) -> TemperatureLadder:
     the spacing is ``c2 * sigma2 / (D^2 (d + ln(1/w_min)))``, clamped so
     the last level lands exactly on 1. A target with all means at the
     origin (D = 0) is already unimodal and gets the single-level ladder.
+    A ladder of more than ``_MAX_LEVELS`` levels, 1 + ceil((1 - beta_1) /
+    spacing), is refused with ``ValueError`` before it is built.
     """
     if not (c1 > 0 and c2 > 0):
         raise ValueError("c1 and c2 must be positive")
@@ -144,6 +148,13 @@ def make_ladder(target, c1=1.0, c2=1.0) -> TemperatureLadder:
     else:
         b1 = min(1.0, c1 * target.sigma2 / D**2)
         step = c2 * target.sigma2 / (D**2 * (target.d + math.log(1.0 / target.w_min)))
+        # a zero spacing (D**2 overflowing) would never reach 1
+        gaps = (1.0 - b1) / step if step > 0 else math.inf
+        if gaps > _MAX_LEVELS - 1:
+            count = "unboundedly many" if math.isinf(gaps) else 1 + math.ceil(gaps)
+            raise ValueError(
+                f"the ladder for sigma2={target.sigma2:.6g}, D={D:.6g}, c2={c2:.6g} "
+                f"would have {count} levels, more than {_MAX_LEVELS}")
         betas = [b1]
         while betas[-1] < 1.0:
             betas.append(min(betas[-1] + step, 1.0))
@@ -217,22 +228,22 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats=None
         if params.proposal_mode == "neighbor":
             flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
             prop = l2 + np.where(flip < 0.5, -1, 1)
-            valid = (prop >= 0) & (prop < L)
         else:
             prop = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
-            valid = np.ones(idx2.size, dtype=bool)
         u = _per_block(rngs, n_tails, lambda g, c: g.random(c))
-        propc = np.clip(prop, 0, L - 1)
-        f_x = np.atleast_1d(target.f(x[idx2]))
-        la = _level_log_ratio(f_x, l2, propc, betas, log_zhat)
-        # 1 - U lies in (0, 1], keeping the log finite
-        acc = valid & (np.log(1.0 - u) < la)
-        if stats is not None:
-            pair = l2 * L + propc
-            stats["proposals"] += np.bincount(pair[valid], minlength=L * L).reshape(L, L)
-            stats["accepts"] += np.bincount(pair[acc], minlength=L * L).reshape(L, L)
-        lev[idx2] = np.where(acc, propc, l2)
-        accepted[idx2] = acc
+        # a proposal past either end of the ladder is rejected unseen
+        on = np.flatnonzero((prop >= 0) & (prop < L))
+        if on.size:
+            rows, k, k_new = idx2[on], l2[on], prop[on]
+            f_x = np.atleast_1d(target.f(x[rows]))
+            # 1 - U lies in (0, 1], keeping the log finite
+            acc = np.log(1.0 - u[on]) < _level_log_ratio(f_x, k, k_new, betas, log_zhat)
+            if stats is not None:
+                pair = k * L + k_new
+                stats["proposals"] += np.bincount(pair, minlength=L * L).reshape(L, L)
+                stats["accepts"] += np.bincount(pair[acc], minlength=L * L).reshape(L, L)
+            lev[rows[acc]] = k_new[acc]
+            accepted[rows[acc]] = True
     return heads, accepted
 
 

@@ -62,7 +62,7 @@ from .partition_estimator import (
 )
 from .tempering_chain import RunParams, make_ladder, new_batch_stats, run_tempering_batch
 
-__all__ = ["CheckResult", "available_suites", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -662,18 +662,6 @@ _SUITES = {
     "tempering-bounds": tempering_bounds_suite,
     "diagnostics": diagnostics_suite,
 }
-
-
-def available_suites():
-    return list(_SUITES)
-
-
-def run_suite(name):
-    """Run one named suite; unknown names raise KeyError."""
-    key = name.replace("_", "-")
-    if key not in _SUITES:
-        raise KeyError(name)
-    return _SUITES[key]()
 
 
 def run_suites(names):

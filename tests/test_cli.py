@@ -194,6 +194,43 @@ def test_bad_report_options_are_refused_before_sampling(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "analyze"])
+def test_oversized_ladder_is_refused_before_sampling(tmp_path, capsys, monkeypatch, command):
+    # sigma2 = 1e-4 on the +-3 desk asks for 152,383 levels
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr("stlmc.partition_estimator._collect_top", no_run)
+    monkeypatch.setattr(cli, "discretize_langevin_generator", no_run)
+    cfg = write_config(tmp_path, target={
+        "weights": [0.5, 0.5], "means": [[-3.0], [3.0]], "sigma2": 1e-4,
+    })
+    out = tmp_path / "o"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--eta", "1e-5"] if command == "sample" else [])) == 2
+    assert "152383 levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "compare"])
+def test_oversized_tv_grid_is_refused_before_sampling(tmp_path, capsys, monkeypatch, command):
+    # 1,000 bins on the perturbed four-mode mixture take 12,048 quadrature
+    # nodes per axis, 1.45e8 points
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "run_main_algorithm", no_run)
+    cfg = write_config(tmp_path, target={
+        "weights": [0.25] * 4, "sigma2": 1.0,
+        "means": [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]],
+        "perturbation": {"amplitude": 0.2, "scale": 1.0},
+    })
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--bins", "1000"]) == 2
+    assert "145154304 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_exits_1_when_tempering_fails(tmp_path, capsys):
     # 20 steps per chain cannot climb the 15-level +-3 ladder, so an
     # estimation stage runs out of rounds

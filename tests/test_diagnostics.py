@@ -7,6 +7,7 @@ from scipy.special import ndtr
 
 from stlmc.diagnostics import (
     Histogram,
+    bin_mass_points,
     chi_sq_divergence,
     chi_sq_mixture_check,
     default_box,
@@ -215,6 +216,23 @@ def test_exact_bin_masses_box_past_the_quadrature_box(desk, lo, hi):
     assert masses.min() >= 0.0
     assert masses.sum() <= 1.0 + 1e-12
     np.testing.assert_allclose(masses, exact_bin_masses(base, h), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi, bins", [([-9.0], [9.0], 100), ([-9.0], [9.0], 2),
+                                          ([-15.0], [5.0], 40), ([-8.0, -5.0], [8.0, 15.0], 20)])
+def test_bin_mass_points_counts_the_rows_exact_bin_masses_evaluates(monkeypatch, desk,
+                                                                    lo, hi, bins):
+    base = desk if len(lo) == 1 else GaussianMixture([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]], 1.0)
+    target = PerturbedTarget(base, SinusoidalPerturbation(0.2))
+    rows = []
+    inner = PerturbedTarget.f
+    monkeypatch.setattr(PerturbedTarget, "f",
+                        lambda obj, x: rows.append(len(x)) or inner(obj, x))
+    h = Histogram(lo, hi, bins, np.zeros((bins,) * len(lo), dtype=np.int64), 0)
+    exact_bin_masses(target, h)
+    assert bin_mass_points(target, lo, hi, bins) == sum(rows)
+    # the closed form evaluates no point, and holds one mass per cell
+    assert bin_mass_points(base, lo, hi, bins) == bins ** len(lo)
 
 
 def test_chi_sq_divergence_values():

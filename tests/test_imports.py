@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private name the package defines is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private name the package defines is used somewhere in the package, and
+every public name it exports is read by the package or the benchmark.
 
 No linter ships with the package's dependencies, so this walks each
 module's syntax tree with the standard library's ``ast``. A name counts
@@ -7,7 +8,10 @@ as used when it is read anywhere in the module, annotations included,
 or listed in ``__all__``. Imports under ``if TYPE_CHECKING:`` and from
 ``__future__`` are not checked. A private name (one leading underscore,
 not a dunder) defined at module level or as a method counts as used
-when any package module reads it as a name or an attribute.
+when any package module reads it as a name or an attribute. A name in a
+module's ``__all__`` counts as read when a package or ``bench/`` module
+reads it outside its own definition, or when it is a user entry point
+that only the tests and README call.
 """
 import ast
 from pathlib import Path
@@ -142,3 +146,57 @@ def run(t: Thing):
     return t._kernel()
 """]
     assert _unused_private_names(sources) == ["_UNUSED_CONST", "_dead", "_stale"]
+
+
+BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+# public names meant for users of the library, which no module reads
+ENTRY_POINTS = {"load_estimates", "perturbation_gap_check"}
+
+
+def _exported_names(tree):
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def _reads_outside_own_definition(tree):
+    """Names a module reads, a top-level definition's reads of its own name left out."""
+    return set().union(*(_read_names(node) - {getattr(node, "name", None)}
+                         for node in tree.body))
+
+
+def _unread_public_names(sources, readers=()):
+    """Names in the ``__all__`` of ``sources`` that neither they nor ``readers`` read."""
+    trees = [ast.parse(source) for source in sources]
+    read = set().union(*map(_reads_outside_own_definition,
+                            trees + [ast.parse(source) for source in readers]))
+    return sorted(set().union(*map(_exported_names, trees)) - read - ENTRY_POINTS)
+
+
+def test_package_reads_every_public_name_it_exports():
+    assert _unread_public_names([path.read_text() for path in MODULES],
+                                [path.read_text() for path in BENCH]) == []
+
+
+def test_checker_sees_unread_public_names():
+    sources = ["""
+__all__ = ["Used", "helper", "recursive", "only_in_bench", "unread", "load_estimates"]
+class Used:
+    def copy(self):
+        return Used()
+def helper():
+    return Used()
+def recursive(n):
+    return recursive(n - 1) if n else 0
+def unread():
+    pass
+def load_estimates():
+    pass
+""", """
+from .a import helper
+def run():
+    return helper()
+"""]
+    bench = ["import stlmc.a\nstlmc.a.only_in_bench()\n"]
+    assert _unread_public_names(sources, bench) == ["recursive", "unread"]
+    assert _unread_public_names(sources) == ["only_in_bench", "recursive", "unread"]

@@ -65,6 +65,27 @@ def test_make_ladder_invariants_random_mixtures():
             assert np.all(np.diff(b) <= cap + 1e-15)
 
 
+@pytest.mark.parametrize("sigma2, c2, count", [
+    (1e-4, 1.0, "152383 levels"),
+    (1.0, 1e-4, "135453 levels"),
+])
+def test_make_ladder_refuses_too_many_levels(sigma2, c2, count):
+    # the +-3 desk: 1 + ceil((1 - beta_1) / spacing) levels, refused before
+    # the loop that would build them
+    desk = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], sigma2)
+    with pytest.raises(ValueError, match=count) as exc:
+        make_ladder(desk, c2=c2)
+    for name in ("sigma2", "D=3", "c2", "more than 10000"):
+        assert name in str(exc.value)
+
+
+def test_make_ladder_refuses_a_zero_spacing():
+    # D**2 overflows, so the spacing is 0 and the ladder would never reach 1
+    far = GaussianMixture([0.5, 0.5], [[-1e200], [1e200]], 1.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="unboundedly many"):
+        make_ladder(far)
+
+
 def test_ladder_validation():
     with pytest.raises(ValueError):
         TemperatureLadder(np.array([0.5, 0.4, 1.0]))
@@ -371,6 +392,43 @@ def test_engine_gradient_rows_go_through_f_and_grad(monkeypatch, cheap, perturbe
         if n_chains == 1:
             # every within-level move of a lone chain has exactly one heads row
             assert set(rows) == {1}
+
+
+def _count_f_rows(monkeypatch):
+    """Log the rows of every GaussianMixture.f call."""
+    rows = []
+
+    def counted(obj, x, _inner=GaussianMixture.f):
+        rows.append(max(1, np.size(x) // obj.d))
+        return _inner(obj, x)
+
+    monkeypatch.setattr(GaussianMixture, "f", counted)
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["neighbor", "uniform"])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_level_moves_evaluate_only_on_ladder_proposals(monkeypatch, cheap, mode, blocks):
+    # a proposal past either end of the ladder is rejected without an
+    # energy, so f sees exactly the counted proposals, in one call per step
+    rows = _count_f_rows(monkeypatch)
+    ladder = make_ladder(cheap)
+    params = RunParams(eta=0.1, T=0.5, t=40, proposal_mode=mode)
+    stats = new_batch_stats(ladder.L)
+    run_tempering_batch(cheap, ladder.betas, np.zeros(ladder.L), 64 * blocks, params,
+                        [np.random.default_rng(b) for b in range(blocks)], stats=stats)
+    assert sum(rows) == stats["proposals"].sum() > 0
+    assert len(rows) <= params.t
+
+
+def test_single_level_moves_evaluate_nothing(monkeypatch):
+    rows = _count_f_rows(monkeypatch)
+    single = GaussianMixture([1.0], [[0.0]], 1.0)
+    stats = new_batch_stats(1)
+    run_tempering_batch(single, [1.0], [0.0], 50, RunParams(eta=0.1, T=0.5, t=20),
+                        np.random.default_rng(3), stats=stats)
+    assert rows == []
+    assert stats["proposals"].sum() == 0
 
 
 @pytest.mark.parametrize("mode", ["neighbor", "uniform"])
