@@ -48,6 +48,7 @@ from .verification import run_suites
 # the run options RunParams gives no default, and the CLI's own option
 _RUN_DEFAULTS = {"eta": 0.1, "T": 0.5, "t": 300, "workers": 1}
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunParams)} | {"workers"}
+_CONFIG_KEYS = {"target", "run", "n_samples", "mode_radius", "output_dir"}
 # the most points the TV step's exact bin masses may take (2D, 100 bins: 1.56 M)
 _TV_POINTS = 2**24
 
@@ -65,6 +66,9 @@ def _load_target(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict) or "target" not in cfg:
         raise ConfigError("config must be a JSON object with a 'target' section")
+    unknown = set(cfg) - _CONFIG_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     return cfg, target_from_config(cfg["target"])
 
 

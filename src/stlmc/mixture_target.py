@@ -408,11 +408,14 @@ def target_from_config(config: dict):
 
     Expected fields: ``weights``, ``means``, ``sigma2`` and optionally
     ``perturbation`` with ``amplitude`` and ``scale``. A section that is
-    not a mapping, or a field that does not convert to floats, raises a
-    ValueError naming it.
+    not a mapping, a key outside these, or a field that does not convert
+    to floats, raises a ValueError naming it.
     """
     if not isinstance(config, dict):
         raise ValueError(f"the target section must be a JSON object (got {config!r})")
+    unknown = set(config) - {"weights", "means", "sigma2", "perturbation"}
+    if unknown:
+        raise ValueError(f"unknown target keys {sorted(unknown)}")
 
     def floats(value):
         return np.asarray(value, dtype=float)
@@ -431,6 +434,9 @@ def target_from_config(config: dict):
         return mix
     if not isinstance(pert, dict):
         raise ValueError(f"the perturbation section must be a JSON object (got {pert!r})")
+    unknown = set(pert) - {"amplitude", "scale"}
+    if unknown:
+        raise ValueError(f"unknown perturbation keys {sorted(unknown)}")
     if "amplitude" not in pert:
         raise ValueError("perturbation config requires an 'amplitude' field")
     return PerturbedTarget(

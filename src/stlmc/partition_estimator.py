@@ -248,15 +248,39 @@ def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
     envelope dominates ``exp(-beta f)`` for beta <= 1 the rejection step
     is exact, and at beta = 1 every proposal is accepted.
     """
+    return _exact_draws(mixture, n, [rng], beta)[0]
+
+
+def _exact_draws(mixture, n, rngs, beta):
+    """``sample_exact`` on each generator of ``rngs``, as a (len(rngs), n, d) array.
+
+    Each round, every stream still short of n draws ``max(2 (n - got),
+    128)`` proposals from its own generator (components, normals, then
+    uniforms), and one rejection test, which treats each row on its own,
+    covers them all; so a stream gets exactly the points it gets alone.
+    """
     _check_exact(mixture, beta)
-    out = []
-    got = 0
-    while got < n:
-        xs, u = _proposals(mixture, max(2 * (n - got), 128), rng, beta)
-        keep = _accepted(mixture, xs, u, beta)
-        out.append(xs[keep])
-        got += int(keep.sum())
-    return np.concatenate(out, axis=0)[:n]
+    wb = mixture.weights**beta
+    wb = wb / wb.sum()
+    out = [[] for _ in rngs]
+    got = np.zeros(len(rngs), dtype=np.int64)
+    while (short := np.flatnonzero(got < n)).size:
+        sizes = [max(2 * (n - int(got[i])), 128) for i in short]
+        comp, z, u = (np.concatenate(c) for c in zip(*[
+            (rngs[i].choice(mixture.n, size=b, p=wb),
+             rngs[i].standard_normal((b, mixture.d)), rngs[i].random(b))
+            for i, b in zip(short, sizes)]))
+        xs = mixture.means[comp] + math.sqrt(mixture.sigma2 / beta) * z
+        # log exp(-beta f) less the log of the envelope sum_i w_i^beta
+        # exp(-beta ||x - mu_i||^2 / (2 sigma2)), both from the logits a_i:
+        # their ||x||^2 / (2 sigma2) terms cancel
+        a = mixture._logits(xs)
+        keep = np.log(1.0 - u) < beta * _logsumexp0(a) - _logsumexp0(beta * a)
+        cuts = np.cumsum(sizes)[:-1]
+        for i, rows, kept in zip(short, np.split(xs, cuts), np.split(keep, cuts)):
+            out[i].append(rows[kept])
+            got[i] += np.count_nonzero(kept)
+    return np.stack([np.concatenate(o, axis=0)[:n] for o in out])
 
 
 def _check_exact(mixture, beta):
@@ -264,26 +288,6 @@ def _check_exact(mixture, beta):
         raise TypeError("exact sampling needs an unperturbed mixture")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-
-
-def _proposals(mixture, batch, rng, beta):
-    """One round of ``sample_exact``: ``batch`` proposals and their uniforms."""
-    wb = mixture.weights**beta
-    wb = wb / wb.sum()
-    comp = rng.choice(mixture.n, size=batch, p=wb)
-    xs = (mixture.means[comp]
-          + math.sqrt(mixture.sigma2 / beta) * rng.standard_normal((batch, mixture.d)))
-    return xs, rng.random(batch)
-
-
-def _accepted(mixture, xs, u, beta):
-    """Rejection test of ``sample_exact`` for proposal rows ``xs`` and uniforms ``u``."""
-    # log exp(-beta f) less the log of the envelope sum_i w_i^beta
-    # exp(-beta ||x - mu_i||^2 / (2 sigma2)), both from the logits a_i:
-    # their ||x||^2 / (2 sigma2) terms cancel
-    a = mixture._logits(xs)
-    log_ratio = beta * _logsumexp0(a) - _logsumexp0(beta * a)
-    return np.log(1.0 - u) < log_ratio
 
 
 def _logsumexp0(a):
@@ -328,10 +332,6 @@ def log_partition_quadrature(target, beta):
     return math.log(float(val)) if betas.ndim == 0 else np.log(val)
 
 
-def _trial_rng(seed, trial):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-
-
 def concentration_check(
     mixture, beta_l, beta_next, n_samples=1000, epsilon=0.1, n_trials=1000, seed=0
 ) -> ConcentrationResult:
@@ -341,11 +341,10 @@ def concentration_check(
     density, the points ``sample_exact`` draws from the trial's own
     spawn-key stream, and estimates the partition ratio to the next
     level; a trial fails when the relative error exceeds ``epsilon``.
-    Trials run in chunks of about ``_CHUNK_DRAWS`` proposals, with one
-    rejection test for the chunk's first rounds and one ``f`` call. The
-    returned envelope is ``exp(-n eps^2 / (2 C^4))`` with
-    ``C = max(1, 1/ratio)``, which the failure rate should stay below up
-    to binomial noise.
+    Trials run in chunks of about ``_CHUNK_DRAWS`` proposals, one
+    ``_exact_draws`` call and one ``f`` call each. The returned envelope
+    is ``exp(-n eps^2 / (2 C^4))`` with ``C = max(1, 1/ratio)``, which
+    the failure rate should stay below up to binomial noise.
     """
     _check_exact(mixture, beta_l)
     if n_samples < 1:
@@ -353,23 +352,13 @@ def concentration_check(
     lr = log_partition_quadrature(mixture, beta_next) - log_partition_quadrature(mixture, beta_l)
     ratio = math.exp(lr)
     C = max(1.0, 1.0 / ratio)
-    batch = max(2 * n_samples, 128)
-    per_chunk = max(1, _CHUNK_DRAWS // batch)
+    per_chunk = max(1, _CHUNK_DRAWS // max(2 * n_samples, 128))
     fails = 0
     for first in range(0, n_trials, per_chunk):
-        trials = range(first, min(first + per_chunk, n_trials))
-        draws = [_proposals(mixture, batch, _trial_rng(seed, trial), beta_l) for trial in trials]
-        xs = np.concatenate([x for x, _ in draws])
-        keep = _accepted(mixture, xs, np.concatenate([u for _, u in draws]), beta_l)
-        keep = keep.reshape(len(trials), batch)
-        pts = []
-        for i, trial in enumerate(trials):
-            if keep[i].sum() >= n_samples:
-                pts.append(xs[i * batch:(i + 1) * batch][keep[i]][:n_samples])
-            else:
-                # short after its first round: sample_exact's loop from the trial's start
-                pts.append(sample_exact(mixture, n_samples, _trial_rng(seed, trial), beta_l))
-        fs = mixture.f(np.concatenate(pts)).reshape(len(trials), n_samples)
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+                for trial in range(first, min(first + per_chunk, n_trials))]
+        xs = _exact_draws(mixture, n_samples, rngs, beta_l)
+        fs = mixture.f(xs.reshape(-1, mixture.d)).reshape(len(rngs), n_samples)
         rbar = np.mean(np.exp((beta_l - beta_next) * fs), axis=1)
         fails += int(np.count_nonzero(np.abs(rbar / ratio - 1.0) > epsilon))
     envelope = math.exp(-n_samples * epsilon**2 / (2.0 * C**4))

@@ -6,7 +6,8 @@ proposes a level change, to a neighbor or to any level as
 ``RunParams.proposal_mode`` says, and accepts it with the Metropolis
 ratio ``min(1, exp((beta_k - beta_k') f(x) + log zhat_k - log zhat_k'))``;
 levels carry equal weight (the uniform level prior of Marinari & Parisi
-1992), so the ratio has no weight term.
+1992), so the ratio has no weight term. A uniform draw of the current
+level is no level move: it is neither counted nor accepted.
 Levels are 0-based indices into the ladder, with the top level L - 1 at
 beta = 1, so an accepted run ends at the true target temperature; only
 the trace file, the CLI summary and ``RetriesExhaustedError`` print
@@ -231,8 +232,9 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats=None
         else:
             prop = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
         u = _per_block(rngs, n_tails, lambda g, c: g.random(c))
-        # a proposal past either end of the ladder is rejected unseen
-        on = np.flatnonzero((prop >= 0) & (prop < L))
+        # a proposal past either end of the ladder is rejected unseen, and
+        # uniform mode's proposal of the current level is no level move
+        on = np.flatnonzero((prop >= 0) & (prop < L) & (prop != l2))
         if on.size:
             rows, k, k_new = idx2[on], l2[on], prop[on]
             f_x = np.atleast_1d(target.f(x[rows]))

@@ -113,6 +113,29 @@ def test_malformed_config_section_is_usage_error(tmp_path, capsys, section, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key", [
+    ("config", "n_sample"), ("target", "perturbaton"), ("perturbation", "scal"),
+])
+def test_unknown_config_key_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                       section, key):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "run_main_algorithm", no_run)
+    target = {"weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0}
+    if section == "config":
+        cfg = write_config(tmp_path, n_sample=50)
+    elif section == "target":
+        cfg = write_config(tmp_path, target=dict(target, perturbaton={"amplitude": 0.2}))
+    else:
+        cfg = write_config(tmp_path, target=dict(
+            target, perturbation={"amplitude": 0.2, "scal": 2.0}))
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown {section} keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_unusable_out_is_refused_up_front(tmp_path, capsys, monkeypatch, out):
     def no_run(*args, **kwargs):

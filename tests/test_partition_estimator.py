@@ -293,7 +293,10 @@ def test_logsumexp0_matches_scipy_bit_for_bit():
 
 
 def _reference_exact_draws(mix, n, rng, beta):
-    """``sample_exact`` written out as one loop, with scipy's logsumexp."""
+    """``sample_exact`` written out as one loop, with scipy's logsumexp.
+
+    Returns the points and the number of rejection rounds they took.
+    """
     wb = mix.weights**beta
     wb = wb / wb.sum()
     out, got = [], 0
@@ -306,38 +309,63 @@ def _reference_exact_draws(mix, n, rng, beta):
         keep = np.log(1.0 - rng.random(batch)) < log_ratio
         out.append(xs[keep])
         got += int(keep.sum())
-    return np.concatenate(out, axis=0)[:n]
+    return np.concatenate(out, axis=0)[:n], len(out)
+
+
+# four close modes accept about half the proposals at beta 0.5, so some
+# draws of n fall short after their first round of 2n; the desk never does
+CROWDED = GaussianMixture([0.25] * 4, [[-0.6], [-0.2], [0.2], [0.6]], 1.0)
 
 
 @pytest.mark.parametrize("crowded", [False, True])
 def test_concentration_check_matches_per_trial_draws(desk, monkeypatch, crowded):
-    # four close modes accept about half the proposals at beta 0.5, so some
-    # trials fall short of n after their first round of 2n; the desk never does
     if crowded:
-        mix = GaussianMixture([0.25] * 4, [[-0.6], [-0.2], [0.2], [0.6]], 1.0)
-        beta_l, beta_next, n_samples = 0.5, 0.6, 100
+        mix, beta_l, beta_next, n_samples = CROWDED, 0.5, 0.6, 100
     else:
         mix, beta_l, beta_next, n_samples = desk, 0.3, 0.4, 300
     # reference: each trial's own rejection sampler on its spawn-key stream
     ratio = math.exp(log_partition_quadrature(mix, beta_next)
                      - log_partition_quadrature(mix, beta_l))
     errors = []
+    rounds = []
     for trial in range(90):
         key = np.random.SeedSequence(9, spawn_key=(trial,))
-        xs = _reference_exact_draws(mix, n_samples, np.random.default_rng(key), beta_l)
+        xs, r = _reference_exact_draws(mix, n_samples, np.random.default_rng(key), beta_l)
         if trial < 5:
             np.testing.assert_array_equal(
                 sample_exact(mix, n_samples, np.random.default_rng(key), beta=beta_l), xs)
         errors.append(abs(float(np.mean(np.exp((beta_l - beta_next) * mix.f(xs)))) / ratio - 1))
-    short = []
+        rounds.append(r)
+    # the crowded trials that take several rounds share chunks with one-round ones
+    assert sum(r >= 2 for r in rounds) == (32 if crowded else 0)
     monkeypatch.setattr(partition_estimator, "_CHUNK_DRAWS", 7 * 2 * n_samples)
-    monkeypatch.setattr(partition_estimator, "sample_exact",
-                        lambda *a, **k: short.append(a[1]) or sample_exact(*a, **k))
     for eps in sorted(errors)[::10]:
         res = concentration_check(mix, beta_l, beta_next, n_samples=n_samples, epsilon=eps,
                                   n_trials=90, seed=9)
         assert res.failure_rate == sum(e > eps for e in errors) / 90
-    assert bool(short) == crowded
+
+
+CROWDED_2D = GaussianMixture([0.25] * 4, [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.0, -0.5]],
+                             1.0)
+
+
+@pytest.mark.parametrize("mix, beta, n", [
+    (CROWDED, 0.5, 1), (CROWDED, 0.5, 100), (CROWDED, 0.1, 300), (CROWDED, 1.0, 30),
+    (CROWDED_2D, 0.2, 150),
+])
+def test_exact_draws_equal_one_sample_exact_call_per_stream(mix, beta, n):
+    def gen(k):
+        return np.random.default_rng(np.random.SeedSequence(21, spawn_key=(k,)))
+
+    want = [_reference_exact_draws(mix, n, gen(k), beta) for k in range(12)]
+    got = partition_estimator._exact_draws(mix, n, [gen(k) for k in range(12)], beta)
+    assert got.shape == (12, n, mix.d)
+    for k in range(12):
+        np.testing.assert_array_equal(got[k], sample_exact(mix, n, gen(k), beta=beta))
+        np.testing.assert_array_equal(got[k], want[k][0])
+    if beta < 1 and n > 1:
+        # streams leave the loop after different numbers of rounds
+        assert len({r for _, r in want}) > 1
 
 
 def test_concentration_check_validates_its_arguments(desk):

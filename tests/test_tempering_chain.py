@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from stlmc.errors import NonFiniteGradientError, RetriesExhaustedError
@@ -315,6 +317,24 @@ def test_uniform_proposal_reaches_all_levels(cheap):
     )
     off = np.abs(np.subtract.outer(np.arange(ladder.L), np.arange(ladder.L)))
     assert stats["proposals"][off > 1].sum() > 0
+    # a uniform draw of the current level is no level move: not counted
+    assert not np.diag(stats["proposals"]).any()
+
+
+def test_uniform_trace_accepted_level_moves_change_level(cheap):
+    ladder = make_ladder(cheap)
+    params = RunParams(eta=0.1, T=0.5, t=40, proposal_mode="uniform")
+    stay = 0
+    for seed in range(4):
+        _, trace = run_stlmc(cheap, ladder, np.zeros(ladder.L), params,
+                             np.random.default_rng(seed))
+        for prev, row in zip([None] + trace, trace):
+            # every attempt starts at level 1
+            before = 1 if row[0] % params.t == 1 else prev[1]
+            if row[2] == 2:
+                assert (row[1] != before) == bool(row[3])
+                stay += row[1] == before
+    assert stay > 0
 
 
 @pytest.mark.parametrize("mode", ["neighbor", "uniform"])
@@ -459,7 +479,7 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
             prop = old + np.where(replay.random(old.size) < 0.5, -1, 1)
         else:
             prop = replay.integers(0, L, old.size)
-        valid = (prop >= 0) & (prop < L)
+        valid = (prop >= 0) & (prop < L) & (prop != old)
         np.add.at(want_prop, (old[valid], prop[valid]), 1)
         _, accepted = _chain_step(cheap, x, lev, ladder.betas, lz, params, [rng], [n], stats)
         np.add.at(want_acc, (before[accepted], lev[accepted]), 1)
@@ -526,3 +546,54 @@ def test_run_params_wrong_type_names_the_field(field, value):
 def test_stage_samples_defaults_to_ten_l_squared():
     assert RunParams(eta=0.1, T=0.5, t=10).stage_samples(15) == 2250
     assert RunParams(eta=0.1, T=0.5, t=10, m=50).stage_samples(15) == 50
+
+
+@st.composite
+def _engine_cases(draw):
+    """A small 1-d mixture, ladder prefix, proposal rule and block split."""
+    n_modes = draw(st.integers(1, 3))
+    means = [[draw(st.floats(-3.0, 3.0))] for _ in range(n_modes)]
+    weights = [draw(st.integers(1, 4)) for _ in range(n_modes)]
+    target = GaussianMixture(np.divide(weights, sum(weights)), means,
+                             draw(st.floats(0.5, 2.0)))
+    L = draw(st.integers(1, 5))
+    betas = np.linspace(draw(st.floats(0.05, 0.9)), 1.0, L) if L > 1 else np.ones(1)
+    log_zhat = [draw(st.floats(-2.0, 2.0)) for _ in range(L)]
+    t = draw(st.integers(1, 12))
+    params = RunParams(eta=0.1, T=draw(st.sampled_from([0.1, 0.3, 0.5])), t=t,
+                       proposal_mode=draw(st.sampled_from(["neighbor", "uniform"])))
+    return (target, betas, np.asarray(log_zhat), params, draw(st.integers(1, 3)),
+            draw(st.integers(1, 16)), draw(st.integers(0, t)), draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_engine_cases())
+def test_engine_accounting_properties(case):
+    target, betas, log_zhat, params, k, block, burn_in, seed = case
+    L, K, n = betas.size, params.steps_per_macro, k * block
+
+    def gen(b):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+
+    stats = new_batch_stats(L)
+    x, lev = run_tempering_batch(target, betas, log_zhat, n, params,
+                                 [gen(b) for b in range(k)], stats=stats,
+                                 occupancy_burn_in=burn_in)
+    assert np.all(stats["accepts"] <= stats["proposals"])
+    assert not np.diag(stats["proposals"]).any()
+    if params.proposal_mode == "neighbor":
+        off = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
+        assert not stats["proposals"][off != 1].any()
+    assert stats["occupancy"].sum() == n * (params.t - burn_in)
+    assert stats["grad_evals"] % K == 0
+    assert stats["grad_evals"] <= K * n * params.t
+    assert stats["chains"] == n
+    # one k-block call is the k one-block calls, in bytes and in summed stats
+    one = new_batch_stats(L)
+    parts = [run_tempering_batch(target, betas, log_zhat, block, params, gen(b),
+                                 stats=one, occupancy_burn_in=burn_in) for b in range(k)]
+    assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert lev.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+    for key in ("proposals", "accepts", "occupancy"):
+        np.testing.assert_array_equal(stats[key], one[key])
+    assert (stats["grad_evals"], stats["chains"]) == (one["grad_evals"], one["chains"])
