@@ -21,9 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import chi_sq_divergence
+from .diagnostics import chi_sq_divergence, log_partition_quadrature
 from .errors import BoundViolationError, NonReversibleError, ReducibleChainError
-from .partition_estimator import log_partition_quadrature
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array

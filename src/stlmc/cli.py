@@ -24,6 +24,7 @@ from .diagnostics import (
     bin_mass_points,
     default_box,
     exact_bin_masses,
+    log_partition_quadrature,
     mode_occupancy,
     tv_distance,
 )
@@ -37,11 +38,7 @@ from .errors import (
 )
 from .langevin_kernel import check_step_size, run_macro_step
 from .mixture_target import GaussianMixture, target_from_config
-from .partition_estimator import (
-    log_partition_quadrature,
-    run_main_algorithm,
-    save_estimates,
-)
+from .partition_estimator import run_main_algorithm, save_estimates
 from .tempering_chain import RunParams, make_ladder, run_stlmc, write_trace_csv
 from .verification import run_suites
 

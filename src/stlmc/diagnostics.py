@@ -1,5 +1,9 @@
 """Sampling-quality diagnostics: histogram TV distance, finite divergences,
 mixture divergence inequalities, and mode-occupancy summaries.
+
+The d <= 2 oracles live here too: ``exact_bin_masses`` on a Gauss-Legendre
+grid and ``log_partition_quadrature`` by cubature (``scipy.integrate`` loads
+on its first call), both over one box [-R, R]^d, R = D + 8 sigma / sqrt(beta).
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ __all__ = [
     "tv_distance",
     "exact_bin_masses",
     "bin_mass_points",
+    "log_partition_quadrature",
     "chi_sq_divergence",
     "chi_sq_mixture_check",
     "kl_divergence",
@@ -131,10 +136,10 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     Otherwise one 12-point Gauss-Legendre rule per panel and axis (a
     product rule in 2D) integrates exp(-beta f) over panels at most about
     sigma wide: each bin split into ceil(width / sigma) equal panels, and
-    tail panels that extend each axis to the box [-(D + 8 sigma), D + 8
-    sigma] of ``log_partition_quadrature``, or to the histogram's box
-    where that reaches further. The bin integrals divided by the integral
-    over the whole grid are the masses.
+    tail panels that extend each axis to the oracles' box [-R, R], R = D +
+    8 sigma / sqrt(beta), or to the histogram's box where that reaches
+    further. The bin integrals divided by the integral over the whole
+    grid are the masses.
     """
     if histogram.d != target.d:
         raise ValueError("histogram and target dimensions differ")
@@ -148,12 +153,12 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
         if target.d == 1:
             return target.weights @ per_axis[0]
         return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
-    R = target.D + 8.0 * sigma
+    R = _box_half_width(target, beta)
     nodes, gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
     axes, halves, inner, split = [], [], [], []
     for axis in range(target.d):
         e = histogram.edges(axis)
-        n_below, k, n_above = _axis_panels(target, e[0], e[-1], histogram.bins)
+        n_below, k, n_above = _axis_panels(sigma, R, e[0], e[-1], histogram.bins)
         below = np.linspace(-R, e[0], n_below + 1)[:-1]
         above = np.linspace(e[-1], R, n_above + 1)[1:]
         panels = np.concatenate([below, np.linspace(e[0], e[-1], histogram.bins * k + 1), above])
@@ -177,16 +182,21 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     return binned / vals.sum()
 
 
-def _axis_panels(target, lo, hi, bins):
+def _box_half_width(target, beta):
+    """D + 8 sigma / sqrt(min beta): 8 level-beta scales past the farthest mean."""
+    low = float(np.min(beta))
+    if not low > 0.0:
+        raise ValueError(f"beta must be positive, got {beta!r}")
+    return target.D + 8.0 * math.sqrt(target.sigma2 / low)
+
+
+def _axis_panels(sigma, R, lo, hi, bins):
     """Panel counts on one axis of ``exact_bin_masses``' grid: (below, per bin, above).
 
     Each of the ``bins`` bins of [lo, hi] splits into ceil(width / sigma)
     equal panels, and equal tail panels at most sigma wide run from -R to
-    lo and from hi to R, R = D + 8 sigma; a side the bins already reach
-    past gets none.
+    lo and from hi to R; a side the bins already reach past gets none.
     """
-    sigma = math.sqrt(target.sigma2)
-    R = target.D + 8.0 * sigma
     per_bin = max(1, math.ceil((hi - lo) / bins / sigma))
     return max(0, math.ceil((lo + R) / sigma)), per_bin, max(0, math.ceil((R - hi) / sigma))
 
@@ -199,11 +209,39 @@ def bin_mass_points(target, box_lo, box_hi, bins) -> int:
     """
     if isinstance(target, GaussianMixture):
         return bins ** target.d
+    sigma, R = math.sqrt(target.sigma2), _box_half_width(target, 1.0)
     points = 1
     for lo, hi in zip(box_lo, box_hi):
-        n_below, k, n_above = _axis_panels(target, lo, hi, bins)
+        n_below, k, n_above = _axis_panels(sigma, R, lo, hi, bins)
         points *= _GL_NODES * (n_below + bins * k + n_above)
     return points
+
+
+def log_partition_quadrature(target, beta):
+    """log of the normalizer of exp(-beta f), by adaptive cubature.
+
+    Integrates over [-R, R]^d, R = D + 8 sigma / sqrt(min beta), with one
+    vectorized ``scipy.integrate.cubature`` call to relative tolerance
+    1e-10; available for d <= 2 only. A 1-d array of betas gives an
+    array from one call with the vector integrand ``exp(-f(x) beta)``,
+    each element held to the tolerance. Raises ``BoundViolationError``
+    when an error estimate does not reach the tolerance.
+    """
+    if target.d > 2:
+        raise ValueError("quadrature oracle supports d <= 2 only")
+    from scipy.integrate import cubature
+
+    betas = np.asarray(beta, dtype=float)
+    R = _box_half_width(target, betas)
+    rtol = 1e-10
+    res = cubature(lambda x: np.exp(-np.multiply.outer(target.f(x), betas)),
+                   np.full(target.d, -R), np.full(target.d, R), rtol=rtol, atol=0.0)
+    val, err = np.asarray(res.estimate, dtype=float), np.asarray(res.error, dtype=float)
+    if res.status != "converged":
+        worst = np.argmax(err - rtol * np.abs(val))
+        raise BoundViolationError("quadrature error estimate", float(err.flat[worst]),
+                                  rtol * abs(float(val.flat[worst])))
+    return math.log(float(val)) if betas.ndim == 0 else np.log(val)
 
 
 def _check_dist(v, name):

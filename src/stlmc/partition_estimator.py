@@ -13,12 +13,7 @@ do not depend on the group it runs in, so outputs do not depend on how
 many workers execute the round. A stage runs at most
 ``params.max_retries`` rounds. One process pool serves a whole run, and
 every run option, the ladder scales and the proposal rule included,
-comes from ``RunParams``. The module imports only numpy; the d <= 2
-quadrature oracle imports ``scipy.integrate`` on its first call.
-``sample`` and ``compare`` never make it, since their TV summary
-normalizes on the Gauss-Legendre grid of ``diagnostics.exact_bin_masses``,
-so those runs, perturbed or not, and every pool worker they fork, load
-only numpy and the ``scipy.special`` that ``diagnostics`` imports.
+comes from ``RunParams``.
 """
 from __future__ import annotations
 
@@ -32,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from .diagnostics import log_partition_quadrature
 from .errors import BoundViolationError, RetriesExhaustedError
 from .langevin_kernel import check_step_size
 from .mixture_target import GaussianMixture
@@ -52,7 +48,6 @@ __all__ = [
     "run_main_algorithm",
     "concentration_check",
     "sample_exact",
-    "log_partition_quadrature",
     "save_estimates",
     "load_estimates",
 ]
@@ -248,6 +243,8 @@ def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
     envelope dominates ``exp(-beta f)`` for beta <= 1 the rejection step
     is exact, and at beta = 1 every proposal is accepted.
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n!r}")
     return _exact_draws(mixture, n, [rng], beta)[0]
 
 
@@ -262,7 +259,7 @@ def _exact_draws(mixture, n, rngs, beta):
     _check_exact(mixture, beta)
     wb = mixture.weights**beta
     wb = wb / wb.sum()
-    out = [[] for _ in rngs]
+    out = [[np.empty((0, mixture.d))] for _ in rngs]
     got = np.zeros(len(rngs), dtype=np.int64)
     while (short := np.flatnonzero(got < n)).size:
         sizes = [max(2 * (n - int(got[i])), 128) for i in short]
@@ -305,33 +302,6 @@ def _logsumexp0(a):
     return np.log1p(s / m) + np.log(m) + a_max
 
 
-def log_partition_quadrature(target, beta):
-    """log of the normalizer of exp(-beta f), by adaptive cubature.
-
-    Integrates over the box [-(D + 8 sigma), D + 8 sigma]^d with one
-    vectorized ``scipy.integrate.cubature`` call to relative tolerance
-    1e-10; available for d <= 2 only. A 1-d array of betas gives an
-    array from one call with the vector integrand ``exp(-f(x) beta)``,
-    each element held to the tolerance. Raises ``BoundViolationError``
-    when an error estimate does not reach the tolerance.
-    """
-    if target.d > 2:
-        raise ValueError("quadrature oracle supports d <= 2 only")
-    from scipy.integrate import cubature
-
-    betas = np.asarray(beta, dtype=float)
-    R = target.D + 8.0 * math.sqrt(target.sigma2)
-    rtol = 1e-10
-    res = cubature(lambda x: np.exp(-np.multiply.outer(target.f(x), betas)),
-                   np.full(target.d, -R), np.full(target.d, R), rtol=rtol, atol=0.0)
-    val, err = np.asarray(res.estimate, dtype=float), np.asarray(res.error, dtype=float)
-    if res.status != "converged":
-        worst = np.argmax(err - rtol * np.abs(val))
-        raise BoundViolationError("quadrature error estimate", float(err.flat[worst]),
-                                  rtol * abs(float(val.flat[worst])))
-    return math.log(float(val)) if betas.ndim == 0 else np.log(val)
-
-
 def concentration_check(
     mixture, beta_l, beta_next, n_samples=1000, epsilon=0.1, n_trials=1000, seed=0
 ) -> ConcentrationResult:
@@ -349,8 +319,10 @@ def concentration_check(
     _check_exact(mixture, beta_l)
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples!r}")
-    lr = log_partition_quadrature(mixture, beta_next) - log_partition_quadrature(mixture, beta_l)
-    ratio = math.exp(lr)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be positive, got {n_trials!r}")
+    log_z = log_partition_quadrature(mixture, np.array([beta_l, beta_next]))
+    ratio = math.exp(log_z[1] - log_z[0])
     C = max(1.0, 1.0 / ratio)
     per_chunk = max(1, _CHUNK_DRAWS // max(2 * n_samples, 128))
     fails = 0

@@ -39,6 +39,7 @@ from .diagnostics import (
     exact_bin_masses,
     kl_decomposition_check,
     kl_divergence,
+    log_partition_quadrature,
     mode_occupancy,
     tv_distance,
     tv_from_masses,
@@ -54,12 +55,7 @@ from .mixture_target import (
     hessian_max_eig,
     locate_min,
 )
-from .partition_estimator import (
-    concentration_check,
-    estimate_next_z,
-    log_partition_quadrature,
-    sample_exact,
-)
+from .partition_estimator import concentration_check, estimate_next_z, sample_exact
 from .tempering_chain import RunParams, make_ladder, new_batch_stats, run_tempering_batch
 
 __all__ = ["CheckResult", "run_suites"]

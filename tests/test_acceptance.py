@@ -38,6 +38,7 @@ from stlmc.diagnostics import (
     default_box,
     exact_bin_masses,
     kl_decomposition_check,
+    log_partition_quadrature,
     mode_occupancy,
     tv_distance,
 )
@@ -50,11 +51,7 @@ from stlmc.mixture_target import (
     hessian_max_eig,
     locate_min,
 )
-from stlmc.partition_estimator import (
-    concentration_check,
-    log_partition_quadrature,
-    run_main_algorithm,
-)
+from stlmc.partition_estimator import concentration_check, run_main_algorithm
 from stlmc.tempering_chain import RunParams, make_ladder
 
 DESK = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)

@@ -14,13 +14,14 @@ from stlmc.diagnostics import (
     exact_bin_masses,
     kl_decomposition_check,
     kl_divergence,
+    log_partition_quadrature,
     mode_occupancy,
     tv_distance,
     tv_from_masses,
 )
 from stlmc.errors import BoundViolationError
 from stlmc.mixture_target import GaussianMixture, PerturbedTarget, SinusoidalPerturbation
-from stlmc.partition_estimator import log_partition_quadrature, sample_exact
+from stlmc.partition_estimator import sample_exact
 
 
 def test_histogram_from_samples_counts_and_overflow():
@@ -134,7 +135,8 @@ def test_exact_bin_masses_flattened_level(desk):
     h = Histogram(lo, hi, 40, np.zeros(40, dtype=np.int64), 0)
     flat = exact_bin_masses(desk, h, beta=0.25)
     sharp = exact_bin_masses(desk, h, beta=1.0)
-    # the box clips a ~1.4e-3 tail of the flattened density
+    # the histogram box [-9, 9] leaves out a ~1.44e-3 tail of the flattened
+    # density, which the normalizing grid counts out to D + 8 sigma / sqrt(beta) = 19
     assert flat.sum() == pytest.approx(1.0, abs=5e-3)
     # flattening moves mass toward the saddle between the modes
     mid = slice(15, 25)
@@ -154,7 +156,18 @@ def test_exact_bin_masses_rule_matches_closed_form_at_low_beta():
         expected = cells if d == 1 else np.outer(cells, cells)
         masses = exact_bin_masses(g, h, beta=beta)
         assert masses.shape == expected.shape
-        np.testing.assert_allclose(masses, expected, rtol=0.0, atol=1e-7)
+        np.testing.assert_allclose(masses, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.5, np.array([0.0, 1.0]), np.array([np.nan, 1.0])])
+def test_oracles_refuse_a_non_positive_beta(desk, beta):
+    # the box half-width D + 8 sigma / sqrt(beta) has no meaning there
+    with pytest.raises(ValueError, match="beta must be positive"):
+        log_partition_quadrature(desk, beta)
+    if np.ndim(beta) == 0:
+        h = Histogram([-9.0], [9.0], 10, np.zeros(10, dtype=np.int64), 0)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            exact_bin_masses(PerturbedTarget(desk, SinusoidalPerturbation(0.2)), h, beta=beta)
 
 
 def _cubature_normalized_masses(target, h, beta):

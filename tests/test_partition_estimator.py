@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import nquad
 from scipy.special import logsumexp
 
+from stlmc.diagnostics import log_partition_quadrature
 from stlmc.errors import BoundViolationError, RetriesExhaustedError
 from stlmc.mixture_target import (
     GaussianMixture,
@@ -21,7 +22,6 @@ from stlmc.partition_estimator import (
     concentration_check,
     estimate_next_z,
     load_estimates,
-    log_partition_quadrature,
     run_main_algorithm,
     sample_exact,
     save_estimates,
@@ -323,9 +323,11 @@ def test_concentration_check_matches_per_trial_draws(desk, monkeypatch, crowded)
         mix, beta_l, beta_next, n_samples = CROWDED, 0.5, 0.6, 100
     else:
         mix, beta_l, beta_next, n_samples = desk, 0.3, 0.4, 300
-    # reference: each trial's own rejection sampler on its spawn-key stream
-    ratio = math.exp(log_partition_quadrature(mix, beta_next)
-                     - log_partition_quadrature(mix, beta_l))
+    # reference: each trial's own rejection sampler on its spawn-key stream, against
+    # the ratio of concentration_check's one quadrature call (the epsilons below sit
+    # on trial errors, so they see its last bit)
+    log_z = log_partition_quadrature(mix, np.array([beta_l, beta_next]))
+    ratio = math.exp(log_z[1] - log_z[0])
     errors = []
     rounds = []
     for trial in range(90):
@@ -378,6 +380,16 @@ def test_concentration_check_validates_its_arguments(desk):
                             n_samples=10, n_trials=2)
 
 
+def test_concentration_check_refuses_no_trials_before_quadrature(desk, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the trial count was checked")
+
+    monkeypatch.setattr(partition_estimator, "log_partition_quadrature", no_quadrature)
+    for n_trials in (0, -3):
+        with pytest.raises(ValueError, match=f"n_trials must be positive, got {n_trials}"):
+            concentration_check(desk, 0.5, 0.6, n_samples=10, n_trials=n_trials)
+
+
 def test_sample_exact_moments(desk):
     xs = sample_exact(desk, 20_000, np.random.default_rng(5))
     assert xs.shape == (20_000, 1)
@@ -397,12 +409,23 @@ def test_sample_exact_validation(desk):
         sample_exact(object(), 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("mix", [GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0), CROWDED_2D])
+def test_sample_exact_of_no_points_is_empty(mix):
+    for beta in (0.3, 1.0):
+        xs = sample_exact(mix, 0, np.random.default_rng(0), beta=beta)
+        assert xs.shape == (0, mix.d) and xs.dtype == np.float64
+
+
+def test_sample_exact_refuses_a_negative_count(desk):
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        sample_exact(desk, -1, np.random.default_rng(0))
+
+
 def test_log_partition_quadrature_closed_form():
     g = GaussianMixture([1.0], [[0.0]], 1.0)
-    # the fixed integration window truncates more mass as beta shrinks
-    for beta, rel in ((0.25, 1e-4), (0.5, 1e-7), (1.0, 1e-8)):
+    for beta in (0.05, 0.25, 0.5, 1.0):
         expected = 0.5 * math.log(2.0 * math.pi / beta)
-        assert log_partition_quadrature(g, beta) == pytest.approx(expected, rel=rel)
+        assert log_partition_quadrature(g, beta) == pytest.approx(expected, rel=1e-12)
     g2 = GaussianMixture([1.0], [[0.0, 0.0]], 1.0)
     assert log_partition_quadrature(g2, 1.0) == pytest.approx(
         math.log(2.0 * math.pi), rel=1e-6
@@ -413,8 +436,8 @@ def test_log_partition_quadrature_closed_form():
 
 
 def _nquad_log_partition(target, beta):
-    # scalar-callback reference over the oracle's box
-    R = target.D + 8.0 * math.sqrt(target.sigma2)
+    # scalar-callback reference over D + 12 sigma / sqrt(beta), the benchmark oracle's reach
+    R = target.D + 12.0 * math.sqrt(target.sigma2 / beta)
     val, _ = nquad(lambda u, v: math.exp(-beta * target.f(np.array([u, v]))),
                    [[-R, R], [-R, R]])
     return math.log(val)

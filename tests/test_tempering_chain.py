@@ -14,7 +14,7 @@ from stlmc.mixture_target import (
     PerturbedTarget,
     SinusoidalPerturbation,
 )
-from stlmc.partition_estimator import log_partition_quadrature
+from stlmc.diagnostics import log_partition_quadrature
 from stlmc.tempering_chain import (
     RunParams,
     TemperatureLadder,
