@@ -159,8 +159,7 @@ def _measure(target, samples, radius, bins):
     """Mode fractions, the unassigned share and the TV distance of samples.
 
     The TV distance is against the ``exact_bin_masses`` of ``bins`` bins
-    per axis on the default box, which need no cubature call, and None
-    for d > 2.
+    per axis on the default box, and None for d > 2.
     """
     frac, rest = mode_occupancy(samples, target.means, radius)
     tv = None

@@ -1,9 +1,9 @@
 """Sampling-quality diagnostics: histogram TV distance, finite divergences,
 mixture divergence inequalities, and mode-occupancy summaries.
 
-The d <= 2 oracles live here too: ``exact_bin_masses`` on a Gauss-Legendre
-grid and ``log_partition_quadrature`` by cubature (``scipy.integrate`` loads
-on its first call), both over one box [-R, R]^d, R = D + 8 sigma / sqrt(beta).
+The d <= 2 oracles live here too: ``exact_bin_masses`` and
+``log_partition_quadrature`` sum the same Gauss-Legendre panel integrals
+of exp(-beta f) over one box [-R, R]^d, R = D + 8 sigma / sqrt(beta).
 """
 from __future__ import annotations
 
@@ -16,11 +16,12 @@ from scipy.special import ndtr
 from .errors import BoundViolationError
 from .mixture_target import GaussianMixture, _as_points
 
-# Grid points per target.f call in exact_bin_masses. The 2D product grid of
-# 100 bins holds 1.56 million; one f call on all of them took a process's
-# peak from 55 to 170 MiB, blocks of this size to 115 MiB at the same speed.
+# Grid points per target.f call in the oracles' panel grid. The 2D product
+# grid of 100 bins holds 1.56 million; one f call on all of them took a
+# process's peak from 55 to 170 MiB, blocks of this size to 115 MiB at the
+# same speed.
 _F_ROWS = 65_536
-# Gauss-Legendre nodes per panel and axis in exact_bin_masses
+# Gauss-Legendre nodes per panel and axis of the oracles' panel grid
 _GL_NODES = 12
 
 __all__ = [
@@ -133,18 +134,16 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     """Exact probability mass of the level-beta density in each bin.
 
     Plain mixtures at beta = 1 use the closed-form Gaussian cell masses.
-    Otherwise one 12-point Gauss-Legendre rule per panel and axis (a
-    product rule in 2D) integrates exp(-beta f) over panels at most about
-    sigma wide: each bin split into ceil(width / sigma) equal panels, and
-    tail panels that extend each axis to the oracles' box [-R, R], R = D +
-    8 sigma / sqrt(beta), or to the histogram's box where that reaches
+    Otherwise ``_panel_integrals`` integrates exp(-beta f) over panels that
+    split each bin and extend each axis to the oracles' box [-R, R], R =
+    D + 8 sigma / sqrt(beta), or to the histogram's box where that reaches
     further. The bin integrals divided by the integral over the whole
     grid are the masses.
     """
     if histogram.d != target.d:
         raise ValueError("histogram and target dimensions differ")
-    sigma = math.sqrt(target.sigma2)
     if isinstance(target, GaussianMixture) and beta == 1.0:
+        sigma = math.sqrt(target.sigma2)
         per_axis = []
         for axis in range(target.d):
             e = histogram.edges(axis)
@@ -153,32 +152,13 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
         if target.d == 1:
             return target.weights @ per_axis[0]
         return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
-    R = _box_half_width(target, beta)
-    nodes, gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
-    axes, halves, inner, split = [], [], [], []
-    for axis in range(target.d):
-        e = histogram.edges(axis)
-        n_below, k, n_above = _axis_panels(sigma, R, e[0], e[-1], histogram.bins)
-        below = np.linspace(-R, e[0], n_below + 1)[:-1]
-        above = np.linspace(e[-1], R, n_above + 1)[1:]
-        panels = np.concatenate([below, np.linspace(e[0], e[-1], histogram.bins * k + 1), above])
-        half = np.diff(panels) / 2.0
-        axes.append(((panels[:-1] + half)[:, None] + half[:, None] * nodes).ravel())
-        halves.append(half)
-        inner.append(slice(below.size, below.size + histogram.bins * k))
-        split += [histogram.bins, k]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, target.d)
-    vals = np.empty(pts.shape[0])
-    for first in range(0, pts.shape[0], _F_ROWS):
-        vals[first:first + _F_ROWS] = target.f(pts[first:first + _F_ROWS])
-    vals = np.exp(-beta * vals).reshape([n for half in halves for n in (half.size, _GL_NODES)])
-    # contract each panel's node axis with the weights, leaving one axis per dimension
-    for axis in range(1, target.d + 1):
-        vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
-    for axis, half in enumerate(halves):
-        vals *= half.reshape((-1,) + (1,) * (target.d - 1 - axis))
+    vals, counts = _panel_integrals(target, beta, histogram.box_lo, histogram.box_hi,
+                                    histogram.bins)
+    vals = vals[0]
     # add each bin's k panels back together
-    binned = vals[tuple(inner)].reshape(split).sum(axis=tuple(range(1, 2 * target.d, 2)))
+    inner = tuple(slice(below, below + histogram.bins * k) for below, k, _ in counts)
+    split = [n for _, k, _ in counts for n in (histogram.bins, k)]
+    binned = vals[inner].reshape(split).sum(axis=tuple(range(1, 2 * target.d, 2)))
     return binned / vals.sum()
 
 
@@ -190,15 +170,60 @@ def _box_half_width(target, beta):
     return target.D + 8.0 * math.sqrt(target.sigma2 / low)
 
 
-def _axis_panels(sigma, R, lo, hi, bins):
-    """Panel counts on one axis of ``exact_bin_masses``' grid: (below, per bin, above).
+def _axis_panels(target, R, lo, hi, bins):
+    """Panel counts on one axis of the oracles' grid: (below, per bin, above).
 
-    Each of the ``bins`` bins of [lo, hi] splits into ceil(width / sigma)
-    equal panels, and equal tail panels at most sigma wide run from -R to
-    lo and from hi to R; a side the bins already reach past gets none.
+    Panels are at most w = min(sigma, curvature**-0.5) wide, the second
+    bound resolving a perturbation that bends faster than the modes. Each
+    of the ``bins`` bins of [lo, hi] splits into ceil(width / w) equal
+    panels, and equal tail panels at most w wide run from -R to lo and
+    from hi to R; a side the bins already reach past gets none.
     """
-    per_bin = max(1, math.ceil((hi - lo) / bins / sigma))
-    return max(0, math.ceil((lo + R) / sigma)), per_bin, max(0, math.ceil((R - hi) / sigma))
+    curvature = getattr(target, "curvature", 0.0)
+    w = min(math.sqrt(target.sigma2), curvature ** -0.5 if curvature else math.inf)
+    per_bin = max(1, math.ceil((hi - lo) / bins / w))
+    return max(0, math.ceil((lo + R) / w)), per_bin, max(0, math.ceil((R - hi) / w))
+
+
+def _panel_integrals(target, beta, lo, hi, bins):
+    """Integrals of exp(-beta f) over every panel of the oracles' grid.
+
+    Each axis runs from -R to R, R = ``_box_half_width(target, beta)``, or
+    further where [lo, hi] reaches past, in the panels of ``_axis_panels``
+    for a (bins,)*d grid on [lo, hi]; one 12-point Gauss-Legendre rule per
+    panel and axis (a product rule in 2D) integrates each panel. f runs
+    once per point for every beta, in blocks of whole first-axis panels of
+    about ``_F_ROWS`` points. Returns the integrals, shaped (betas,) plus
+    one axis of panels per dimension, and each axis's ``_axis_panels``.
+    """
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    R = _box_half_width(target, betas)
+    nodes, gl_w = np.polynomial.legendre.leggauss(_GL_NODES)
+    axes, halves, counts = [], [], []
+    for axis in range(target.d):
+        n_below, k, n_above = _axis_panels(target, R, lo[axis], hi[axis], bins)
+        below = np.linspace(-R, lo[axis], n_below + 1)[:-1]
+        above = np.linspace(hi[axis], R, n_above + 1)[1:]
+        panels = np.concatenate([below, np.linspace(lo[axis], hi[axis], bins * k + 1), above])
+        half = np.diff(panels) / 2.0
+        axes.append(((panels[:-1] + half)[:, None] + half[:, None] * nodes).ravel())
+        halves.append(half)
+        counts.append((n_below, k, n_above))
+    out = np.empty((betas.size,) + tuple(half.size for half in halves))
+    step = max(1, _F_ROWS // (_GL_NODES * math.prod(ax.size for ax in axes[1:])))
+    for first in range(0, halves[0].size, step):
+        block = [axes[0][first * _GL_NODES:(first + step) * _GL_NODES]] + axes[1:]
+        f = target.f(np.stack(np.meshgrid(*block, indexing="ij"), axis=-1).reshape(-1, target.d))
+        shape = [n for ax in block for n in (ax.size // _GL_NODES, _GL_NODES)]
+        for i, b in enumerate(betas):
+            vals = np.exp(-b * f).reshape(shape)
+            # contract each panel's node axis with the weights, leaving one axis per dimension
+            for axis in range(1, target.d + 1):
+                vals = np.tensordot(vals, gl_w, axes=([axis], [0]))
+            out[i, first:first + step] = vals
+    for axis, half in enumerate(halves):
+        out *= half.reshape((-1,) + (1,) * (target.d - 1 - axis))
+    return out, counts
 
 
 def bin_mass_points(target, box_lo, box_hi, bins) -> int:
@@ -209,39 +234,28 @@ def bin_mass_points(target, box_lo, box_hi, bins) -> int:
     """
     if isinstance(target, GaussianMixture):
         return bins ** target.d
-    sigma, R = math.sqrt(target.sigma2), _box_half_width(target, 1.0)
+    R = _box_half_width(target, 1.0)
     points = 1
     for lo, hi in zip(box_lo, box_hi):
-        n_below, k, n_above = _axis_panels(sigma, R, lo, hi, bins)
+        n_below, k, n_above = _axis_panels(target, R, lo, hi, bins)
         points *= _GL_NODES * (n_below + bins * k + n_above)
     return points
 
 
 def log_partition_quadrature(target, beta):
-    """log of the normalizer of exp(-beta f), by adaptive cubature.
+    """log of the normalizer of exp(-beta f) on the oracles' panel grid.
 
-    Integrates over [-R, R]^d, R = D + 8 sigma / sqrt(min beta), with one
-    vectorized ``scipy.integrate.cubature`` call to relative tolerance
-    1e-10; available for d <= 2 only. A 1-d array of betas gives an
-    array from one call with the vector integrand ``exp(-f(x) beta)``,
-    each element held to the tolerance. Raises ``BoundViolationError``
-    when an error estimate does not reach the tolerance.
+    Sums the Gauss-Legendre panels of ``_panel_integrals`` over [-R, R]^d,
+    R = D + 8 sigma / sqrt(min beta); available for d <= 2 only. A 1-d
+    array of betas gives an array from one pass of f over the grid.
     """
     if target.d > 2:
         raise ValueError("quadrature oracle supports d <= 2 only")
-    from scipy.integrate import cubature
-
     betas = np.asarray(beta, dtype=float)
-    R = _box_half_width(target, betas)
-    rtol = 1e-10
-    res = cubature(lambda x: np.exp(-np.multiply.outer(target.f(x), betas)),
-                   np.full(target.d, -R), np.full(target.d, R), rtol=rtol, atol=0.0)
-    val, err = np.asarray(res.estimate, dtype=float), np.asarray(res.error, dtype=float)
-    if res.status != "converged":
-        worst = np.argmax(err - rtol * np.abs(val))
-        raise BoundViolationError("quadrature error estimate", float(err.flat[worst]),
-                                  rtol * abs(float(val.flat[worst])))
-    return math.log(float(val)) if betas.ndim == 0 else np.log(val)
+    R = np.full(target.d, _box_half_width(target, betas))
+    vals, _ = _panel_integrals(target, betas, -R, R, 1)
+    log_z = np.log(vals.reshape(vals.shape[0], -1).sum(axis=1))
+    return float(log_z[0]) if betas.ndim == 0 else log_z
 
 
 def _check_dist(v, name):

@@ -10,6 +10,7 @@ import pytest
 
 from stlmc import cli
 from stlmc.cli import build_parser, main
+from stlmc.errors import BoundViolationError
 
 
 def write_config(tmp_path, **overrides):
@@ -452,7 +453,18 @@ def test_analyze_checks_the_ladder_in_one_call(tmp_path, monkeypatch):
     assert calls == [12] and "12->13: ratio=" in report
 
 
-_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+def test_analyze_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, capsys):
+    # a violated bound is a failed check, not bad usage
+    def violated(*args):
+        raise BoundViolationError("z-ratio upper bound", 2.0, 1.0)
+
+    monkeypatch.setattr(cli, "z_ratio_bound_check", violated)
+    assert main(["analyze", "--config", str(write_config(tmp_path)), "--out",
+                 str(tmp_path / "an"), "--cells", "50"]) == 1
+    assert "failure: z-ratio upper bound" in capsys.readouterr().err
+
+
+_DEFERRED =("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 
 def _run_fresh(script):
@@ -467,7 +479,8 @@ def _run_fresh(script):
 
 def test_sampling_loads_no_deferred_scipy_stack(tmp_path):
     # a sample run with --trace needs numpy and scipy.special only, and
-    # analyze then loads what it uses on its first call
+    # analyze then loads what it uses on its first call; the quadrature
+    # oracle of estimate-z and analyze needs no scipy.integrate
     cfg = write_config(tmp_path)
     script = f"""
 import importlib, pkgutil, sys
@@ -480,11 +493,15 @@ assert cli.main(["sample", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "s
 deferred = {_DEFERRED!r}
 loaded = [name for name in deferred if name in sys.modules]
 assert not loaded, f"sample loaded {{loaded}}"
+assert cli.main(["estimate-z", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "z")!r},
+                 "--m", "20", "--t", "40"]) == 0
 assert cli.main(["analyze", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "a")!r},
                  "--cells", "50"]) == 0
+assert "scipy.integrate" not in sys.modules, "estimate-z or analyze loaded scipy.integrate"
 """
     _run_fresh(script)
     assert (tmp_path / "s" / "trace.csv").exists()
+    assert "quadrature=" in (tmp_path / "z" / "estimate_z.txt").read_text()
     assert (tmp_path / "a" / "analyze.txt").exists()
 
 

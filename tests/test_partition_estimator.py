@@ -2,7 +2,6 @@
 import json
 import math
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from stlmc.partition_estimator import (
 )
 from stlmc.tempering_chain import RunParams, make_ladder, new_batch_stats
 from stlmc import partition_estimator
-from stlmc.cli import main
 
 
 class _NegativeEnergy:
@@ -463,39 +461,6 @@ def test_vector_log_partition_quadrature_matches_scalar_calls(desk):
             scalar = log_partition_quadrature(target, float(b))
             assert type(scalar) is float
             assert abs(v - scalar) <= 1e-12
-
-
-def test_vector_log_partition_quadrature_raises_when_not_converged(monkeypatch):
-    def stalled(f, a, b, **kwargs):
-        return SimpleNamespace(estimate=np.array([3.0, 2.5]), error=np.array([1e-12, 0.1]),
-                               status="not_converged")
-
-    monkeypatch.setattr("scipy.integrate.cubature", stalled)
-    with pytest.raises(BoundViolationError, match="quadrature") as exc:
-        log_partition_quadrature(GaussianMixture([1.0], [[0.0]], 1.0), np.array([0.5, 1.0]))
-    assert exc.value.lhs == pytest.approx(0.1)
-    assert exc.value.rhs == pytest.approx(2.5e-10)
-
-
-def test_log_partition_quadrature_raises_when_not_converged(monkeypatch, tmp_path, capsys):
-    def stalled(f, a, b, **kwargs):
-        return SimpleNamespace(estimate=np.array(2.5), error=np.array(0.1),
-                               status="not_converged")
-
-    monkeypatch.setattr("scipy.integrate.cubature", stalled)
-    with pytest.raises(BoundViolationError, match="quadrature") as exc:
-        log_partition_quadrature(GaussianMixture([1.0], [[0.0]], 1.0), 1.0)
-    assert exc.value.lhs == pytest.approx(0.1)
-    assert exc.value.rhs == pytest.approx(2.5e-10)
-    # the CLI reports it as a failed check, not as bad usage
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({
-        "target": {"weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0},
-        "run": {"eta": 0.1, "T": 0.5, "t": 80},
-    }))
-    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "an"),
-                 "--cells", "50"]) == 1
-    assert "quadrature" in capsys.readouterr().err
 
 
 def test_save_load_estimates_round_trip(tmp_path, cheap):
