@@ -206,7 +206,7 @@ def cmd_sample(args) -> int:
     target, params, workers, out, radius, result = _main_run(args, with_samples=True)
     lines = [
         "# stlmc sample summary v1",
-        f"target: d={target.d} modes={target.means.shape[0]} "
+        f"target: d={target.d} modes={target.n} "
         f"sigma2={target.sigma2:.6g} D={target.D:.6g}",
         f"ladder: L={result.ladder.L} proposal_mode={params.proposal_mode}",
         "betas: " + " ".join(f"{b:.6f}" for b in result.ladder.betas),
@@ -291,7 +291,7 @@ def cmd_analyze(args) -> int:
     out = _out_path(args, cfg)
     ladder = make_ladder(target, params.c1, params.c2)
     cells = args.cells if args.cells is not None else (400 if target.d == 1 else 40)
-    n_modes = target.means.shape[0]
+    n_modes = target.n
     sigma = math.sqrt(target.sigma2)
 
     lines = ["# stlmc analyze report v1",

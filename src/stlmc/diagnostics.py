@@ -93,9 +93,6 @@ class Histogram:
             raise ValueError("histogram holds no samples")
         return self.counts / self.total
 
-    def out_of_box_mass(self) -> float:
-        return 1.0 - self.counts.sum() / self.total
-
 
 def default_box(target):
     """Measurement box [-D - 6 sigma, D + 6 sigma]^d."""
@@ -173,14 +170,18 @@ def _box_half_width(target, beta):
 def _axis_panels(target, R, lo, hi, bins):
     """Panel counts on one axis of the oracles' grid: (below, per bin, above).
 
-    Panels are at most w = min(sigma, curvature**-0.5) wide, the second
-    bound resolving a perturbation that bends faster than the modes. Each
-    of the ``bins`` bins of [lo, hi] splits into ceil(width / w) equal
-    panels, and equal tail panels at most w wide run from -R to lo and
-    from hi to R; a side the bins already reach past gets none.
+    Panels are at most w = min(sigma, curvature**-0.5, 3 sigma^2 / D)
+    wide. The second bound resolves a perturbation that bends faster than
+    the modes. The third resolves the hot levels of far-apart modes, where
+    exp(-beta f) has branch points about sigma^2 / D off the real axis; it
+    is at least sigma when D <= 3 sigma. Each of the ``bins`` bins of
+    [lo, hi] splits into ceil(width / w) equal panels, and equal tail
+    panels at most w wide run from -R to lo and from hi to R; a side the
+    bins already reach past gets none.
     """
     curvature = getattr(target, "curvature", 0.0)
-    w = min(math.sqrt(target.sigma2), curvature ** -0.5 if curvature else math.inf)
+    w = min(math.sqrt(target.sigma2), curvature ** -0.5 if curvature else math.inf,
+            3.0 * target.sigma2 / target.D if target.D else math.inf)
     per_bin = max(1, math.ceil((hi - lo) / bins / w))
     return max(0, math.ceil((lo + R) / w)), per_bin, max(0, math.ceil((R - hi) / w))
 

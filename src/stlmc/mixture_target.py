@@ -10,6 +10,12 @@ Expanding the square gives ``f(x) = ||x||^2 / (2 sigma2) - logsumexp_i a_i``
 with ``a_i = x . mu_i / sigma2 + log w_i - ||mu_i||^2 / (2 sigma2)``, so
 the kernels need one (n, m) array instead of (m, n, d) differences.
 
+Both target classes carry, as plain attributes set at construction, the
+geometry the sampler sizes its ladder from: ``n`` (components), ``d``,
+``sigma2``, ``D`` (the largest mean norm), ``w_min`` (the smallest
+weight) and ``means``. A ``PerturbedTarget`` copies these from its base
+and adds its bounds ``delta``, ``tau`` and ``curvature``.
+
 Each target class has one energy kernel, ``_energy``, and one gradient
 kernel, ``_grad``, both on checked (m, d) points. The mixture's energy
 takes the logsumexp by logaddexp; its gradient ``(x - sum_i resp_i mu_i) /
@@ -102,6 +108,10 @@ class GaussianMixture:
         Component means.
     sigma2 : float
         Shared per-coordinate variance, strictly positive.
+
+    Construction also sets the geometry that sizes the ladder: ``n``
+    components in ``d`` dimensions, ``D`` = max_i ||mu_i|| and ``w_min``,
+    the smallest weight.
     """
 
     weights: np.ndarray
@@ -131,26 +141,13 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigma2", s2)
+        object.__setattr__(self, "n", w.shape[0])
+        object.__setattr__(self, "d", mu.shape[1])
+        object.__setattr__(self, "D", float(np.linalg.norm(mu, axis=1).max()))
+        object.__setattr__(self, "w_min", float(w.min()))
         object.__setattr__(self, "_mu_scaled", mu / s2)
         shift = np.log(w) - np.einsum("nd,nd->n", mu, mu) / (2.0 * s2)
         object.__setattr__(self, "_a_shift", shift[:, None])
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.means.shape[1]
-
-    @property
-    def D(self) -> float:
-        """Largest mean norm, max_i ||mu_i||."""
-        return float(np.linalg.norm(self.means, axis=1).max())
-
-    @property
-    def w_min(self) -> float:
-        return float(self.weights.min())
 
     def _logits(self, pts):
         """(n, m) logits a_i of the (m, d) points; see the module docstring."""
@@ -248,42 +245,28 @@ class SinusoidalPerturbation:
         return abs(self.amplitude) * d / self.scale**2
 
 
+@dataclass(frozen=True, eq=False)
 class PerturbedTarget:
     """A mixture target plus a bounded perturbation of its energy.
 
     ``f = base.f + perturbation.value`` with declared sup-norm bounds
     ``delta`` on the energy shift, ``tau`` on the gradient shift and
     ``curvature`` on the Hessian shift. Unlike the exact mixture, f may
-    dip as low as ``-delta``.
+    dip as low as ``-delta``. The base's geometry (``n``, ``d``,
+    ``sigma2``, ``D``, ``w_min`` and ``means``, the centers of the
+    perturbed modes) is copied at construction; equality is identity.
     """
 
-    def __init__(self, base: GaussianMixture, perturbation):
-        self.base = base
-        self.perturbation = perturbation
-        self.delta = float(perturbation.delta)
-        self.tau = float(perturbation.tau(base.d))
-        self.curvature = float(perturbation.curvature(base.d))
+    base: GaussianMixture
+    perturbation: SinusoidalPerturbation
 
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    @property
-    def sigma2(self) -> float:
-        return self.base.sigma2
-
-    @property
-    def D(self) -> float:
-        return self.base.D
-
-    @property
-    def w_min(self) -> float:
-        return self.base.w_min
-
-    @property
-    def means(self) -> np.ndarray:
-        """The base mixture's means, the centers of the perturbed modes."""
-        return self.base.means
+    def __post_init__(self):
+        base = self.base
+        for name in ("n", "d", "sigma2", "D", "w_min", "means"):
+            object.__setattr__(self, name, getattr(base, name))
+        object.__setattr__(self, "delta", float(self.perturbation.delta))
+        object.__setattr__(self, "tau", float(self.perturbation.tau(base.d)))
+        object.__setattr__(self, "curvature", float(self.perturbation.curvature(base.d)))
 
     def f(self, x):
         return _evaluate(self, x, True, False)[0]

@@ -116,6 +116,8 @@ class RunParams:
             raise ValueError("t must be a positive integer")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be a positive integer when given")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer (got {self.seed})")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
         if self.proposal_mode not in _PROPOSAL_MODES:

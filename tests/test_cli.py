@@ -75,6 +75,15 @@ def test_wrongly_typed_run_value_is_usage_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    # numpy's SeedSequence refused it mid-run with a message naming no field
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--seed", "1"], ["analyze", "--eta", "0.1"],
                                   ["analyze", "--bins", "5"], ["estimate-z", "--bins", "5"],
                                   ["estimate-z", "--mode-radius", "1"]])

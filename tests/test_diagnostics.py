@@ -30,7 +30,7 @@ def test_histogram_from_samples_counts_and_overflow():
     # bins: [-3,-1), [-1,1), [1,3]; 3.5 and -10 fall outside
     assert h.total == 6
     assert h.counts.tolist() == [1, 3, 0]
-    assert h.out_of_box_mass() == pytest.approx(2.0 / 6.0)
+    assert 1.0 - h.masses().sum() == pytest.approx(2.0 / 6.0)
     np.testing.assert_allclose(h.edges(), [-3.0, -1.0, 1.0, 3.0])
     np.testing.assert_allclose(h.masses(), [1 / 6, 3 / 6, 0.0])
 
@@ -243,6 +243,18 @@ def test_log_partition_quadrature_resolves_perturbations_shorter_than_sigma(desk
         R = desk.D + 12.0 / math.sqrt(beta)
         expected = math.log(_quad_pieces(target, -R, R, scale, beta))
         assert abs(log_partition_quadrature(target, beta) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("D", [4.5, 6.0, 10.0])
+def test_log_partition_quadrature_resolves_hot_levels_of_far_apart_modes(D):
+    # exp(-beta f) has branch points about sigma^2 / D off the real axis; on
+    # sigma-wide panels log Z was off by up to 3.8e-11 (D = 4.5, beta = 1/D^2),
+    # 8.3e-10 (D = 6, beta = 0.1) and 4.1e-9 (D = 10, beta = 0.1)
+    target = GaussianMixture([0.5, 0.5], [[-D], [D]], 1.0)
+    for beta in (1.0 / D**2, 0.1, 0.5):
+        R = D + 12.0 / math.sqrt(beta)
+        expected = math.log(_quad_pieces(target, -R, R, 0.5, beta))
+        assert abs(log_partition_quadrature(target, beta) - expected) <= 1e-13
 
 
 def test_log_partition_quadrature_memory_stays_bounded():

@@ -11,7 +11,10 @@ not a dunder) defined at module level or as a method counts as used
 when any package module reads it as a name or an attribute. A name in a
 module's ``__all__`` counts as read when a package or ``bench/`` module
 reads it outside its own definition, or when it is a user entry point
-that only the tests and README call.
+that only the tests and README call. A public method or property of a
+public package class counts as read when a package or ``bench/`` module
+reads an attribute of its name outside its own body, or when it is such
+an entry point.
 """
 import ast
 from pathlib import Path
@@ -149,8 +152,8 @@ def run(t: Thing):
 
 
 BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
-# public names meant for users of the library, which no module reads
-ENTRY_POINTS = {"load_estimates", "perturbation_gap_check"}
+# public names and methods meant for users of the library, which no module reads
+ENTRY_POINTS = {"load_estimates", "perturbation_gap_check", "DiscretizedGenerator.to_chain"}
 
 
 def _exported_names(tree):
@@ -200,3 +203,69 @@ def run():
     bench = ["import stlmc.a\nstlmc.a.only_in_bench()\n"]
     assert _unread_public_names(sources, bench) == ["recursive", "unread"]
     assert _unread_public_names(sources) == ["only_in_bench", "recursive", "unread"]
+
+
+def _public_methods(tree):
+    """``Class.method`` for every public method and property of a public top-level class."""
+    return {f"{node.name}.{item.name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")}
+
+
+def _attribute_reads(node, own=None):
+    """Attribute names read under ``node``, a function's reads of its own name left out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        own = node.name
+    reads = set().union(*(_attribute_reads(child, own) for child in ast.iter_child_nodes(node)))
+    if (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+            and node.attr != own):
+        reads.add(node.attr)
+    return reads
+
+
+def _unread_public_methods(sources, readers=()):
+    """Public methods of the classes in ``sources`` that neither they nor ``readers`` read."""
+    trees = [ast.parse(source) for source in sources]
+    read = set().union(*map(_attribute_reads, trees + [ast.parse(source) for source in readers]))
+    return sorted(name for name in set().union(*map(_public_methods, trees))
+                  if name.split(".")[1] not in read and name not in ENTRY_POINTS)
+
+
+def test_package_reads_every_public_method_it_defines():
+    assert _unread_public_methods([path.read_text() for path in MODULES],
+                                  [path.read_text() for path in BENCH]) == []
+
+
+def test_checker_sees_unread_public_methods():
+    sources = ["""
+class Thing:
+    def used(self):
+        return 1
+    @property
+    def size(self):
+        return self.used()
+    def recursive(self, n):
+        return self.recursive(n - 1) if n else 0
+    def only_in_bench(self):
+        pass
+    def unread(self):
+        pass
+    def _private(self):
+        pass
+class _Hidden:
+    def unread_but_private_class(self):
+        pass
+class DiscretizedGenerator:
+    def to_chain(self):
+        pass
+""", """
+from .a import Thing
+def run(t: Thing):
+    return t.size
+"""]
+    bench = ["def go(thing):\n    thing.only_in_bench()\n"]
+    assert _unread_public_methods(sources, bench) == ["Thing.recursive", "Thing.unread"]
+    assert _unread_public_methods(sources) == ["Thing.only_in_bench", "Thing.recursive",
+                                               "Thing.unread"]

@@ -1,0 +1,129 @@
+"""Every output byte of a set of small runs matches digests recorded earlier.
+
+Each case runs one ``stlmc`` command in process on a small config and
+hashes with SHA-256 every file it writes and its stdout. A change that
+moves a last bit of a sample, an estimate, a trace line or a report fails
+here. A change that alters outputs on purpose updates ``DIGESTS`` in the
+same commit and names each changed file in CHANGES.md.
+
+Every target here has D <= 3 sigma, so the oracles' panel grid is the
+sigma-wide one. numpy may move a last bit between versions, so the
+failure message names the numpy the digests were recorded with and the
+one running.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from stlmc.cli import main
+
+# numpy the digests were recorded with
+NUMPY_VERSION = "2.4.6"
+
+CHEAP = {"weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0}
+PERTURBED_DESK = {"weights": [0.5, 0.5], "means": [[-3.0], [3.0]], "sigma2": 1.0,
+                  "perturbation": {"amplitude": 0.2, "scale": 1.0}}
+FOUR = {"weights": [0.25] * 4, "sigma2": 1.0,
+        "means": [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]]}
+RUN = {"eta": 0.1, "T": 0.5, "t": 40, "m": 10, "seed": 7}
+
+# case name: (command-line arguments, target section, run section overrides)
+CASES = {
+    "sample-cheap-w1": (["sample", "--trace", "--workers", "1"], CHEAP, {}),
+    "sample-cheap-w2": (["sample", "--trace", "--workers", "2"], CHEAP, {}),
+    "sample-perturbed-w1": (["sample", "--trace", "--workers", "1"], PERTURBED_DESK,
+                            {"t": 80}),
+    "sample-perturbed-w2": (["sample", "--trace", "--workers", "2"], PERTURBED_DESK,
+                            {"t": 80}),
+    "sample-four": (["sample", "--bins", "20"], FOUR, {"t": 100, "c2": 2.0}),
+    "sample-uniform": (["sample", "--trace", "--proposal-mode", "uniform"], CHEAP, {}),
+    "estimate-z": (["estimate-z"], CHEAP, {}),
+    "compare": (["compare", "--n-samples", "20"], CHEAP, {}),
+    "analyze": (["analyze", "--cells", "20"], FOUR, {}),
+    "verify-diagnostics": (["verify", "--suite", "diagnostics"], None, None),
+}
+
+DIGESTS = {
+    "analyze": {
+        "analyze.txt": "cc55e91a6906e4c718ee30feba34e69c6ce89bfb1c8cd08d515c77f9ff2db084",
+        "stdout": "cc55e91a6906e4c718ee30feba34e69c6ce89bfb1c8cd08d515c77f9ff2db084",
+    },
+    "compare": {
+        "compare.txt": "f9ff91e52c2ca316f12faf5cdf26e6595682aa59c8aa0513f0bb8a9df4949673",
+        "stdout": "f9ff91e52c2ca316f12faf5cdf26e6595682aa59c8aa0513f0bb8a9df4949673",
+    },
+    "estimate-z": {
+        "estimate_z.txt": "a4e7d94508f6f423feab6ff644117a1e640f89a1eff3c839916ebca073ce6cdf",
+        "estimates.json": "bfdd47659101a66d94a1d12808576ae07caf6273d99ef75f6cd03f8b57a4ef86",
+        "stdout": "a4e7d94508f6f423feab6ff644117a1e640f89a1eff3c839916ebca073ce6cdf",
+    },
+    "sample-cheap-w1": {
+        "estimates.json": "bfdd47659101a66d94a1d12808576ae07caf6273d99ef75f6cd03f8b57a4ef86",
+        "samples.csv": "9bfa6b4609533b47fe906af410113714c70af6914bdf8edebb79ff8a6cd3bd5f",
+        "stdout": "bae52365115ea6b6e38535f04e7da4265d25143acdb88495ab4ed5effedd0e5e",
+        "summary.txt": "bae52365115ea6b6e38535f04e7da4265d25143acdb88495ab4ed5effedd0e5e",
+        "trace.csv": "0a172dae3c4bf2f206cb679ec1eb155b052a2eef6dc7080f4489fcb1e12744ad",
+    },
+    "sample-cheap-w2": {
+        "estimates.json": "bfdd47659101a66d94a1d12808576ae07caf6273d99ef75f6cd03f8b57a4ef86",
+        "samples.csv": "9bfa6b4609533b47fe906af410113714c70af6914bdf8edebb79ff8a6cd3bd5f",
+        "stdout": "0bd1f9454af3683b39a2380e8895c344d3d37ea044250f92046b15f5d29c2382",
+        "summary.txt": "0bd1f9454af3683b39a2380e8895c344d3d37ea044250f92046b15f5d29c2382",
+        "trace.csv": "0a172dae3c4bf2f206cb679ec1eb155b052a2eef6dc7080f4489fcb1e12744ad",
+    },
+    "sample-four": {
+        "estimates.json": "5030c59d450262c5732ee92df6ccae8049ffcf3e4cb7b8f83b989fd1f9fb23b9",
+        "samples.csv": "096ac6ace94c09c865e6c493e3c7a05abe8e59ecb1293d68f97063f46cbebcfc",
+        "stdout": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
+        "summary.txt": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
+    },
+    "sample-perturbed-w1": {
+        "estimates.json": "949535868c4e87ca13010c2aff6205e0aa1c99268707047fb63661279adb0ce1",
+        "samples.csv": "0622567fbc49a80d3841788e06793f1ab6f6a3aba4d94105eda169a40ed7ee5d",
+        "stdout": "a9e624be97a8985e8922c92b7b7f0416b0d1e2c17eac96f4fc9b9229f8a6987a",
+        "summary.txt": "a9e624be97a8985e8922c92b7b7f0416b0d1e2c17eac96f4fc9b9229f8a6987a",
+        "trace.csv": "beef1ed2ae75ae29b517008fad27fcd1c1607585af82090fd43ee7093841c740",
+    },
+    "sample-perturbed-w2": {
+        "estimates.json": "949535868c4e87ca13010c2aff6205e0aa1c99268707047fb63661279adb0ce1",
+        "samples.csv": "0622567fbc49a80d3841788e06793f1ab6f6a3aba4d94105eda169a40ed7ee5d",
+        "stdout": "81a61a165edfc621beea4772a62d5fdb55bc01f65f7e8cf14744823ab7772648",
+        "summary.txt": "81a61a165edfc621beea4772a62d5fdb55bc01f65f7e8cf14744823ab7772648",
+        "trace.csv": "beef1ed2ae75ae29b517008fad27fcd1c1607585af82090fd43ee7093841c740",
+    },
+    "sample-uniform": {
+        "estimates.json": "11eac17060ee9a66df2cc50f169278c5d9f9802398dad40158c4d506392301ef",
+        "samples.csv": "ab194f2387ae54a8f872e3bf2dd95efb6890864cca56e5dce480fb822dfb3aa4",
+        "stdout": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
+        "summary.txt": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
+        "trace.csv": "8460faad92ccd5cd0b2675fcb1eec5e7928dc1db03392d064dd8ddd6109686be",
+    },
+    "verify-diagnostics": {
+        "stdout": "f5eed8bd6568420fa4706c27856d02aa813a28b219656548c940f3da9ac1b537",
+    },
+}
+
+
+def _digests(tmp_path, capsys, argv, target, run):
+    """SHA-256 of every file the command writes, and of its stdout."""
+    out = tmp_path / "out"
+    if target is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"target": target, "run": dict(RUN, **run),
+                                   "n_samples": 50}))
+        argv = argv + ["--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 0
+    files = {"stdout": capsys.readouterr().out.encode()}
+    if out.exists():
+        files.update((path.name, path.read_bytes()) for path in out.iterdir())
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(files.items())}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_recorded_digests(tmp_path, capsys, case):
+    got = _digests(tmp_path, capsys, *CASES[case])
+    assert got == DIGESTS[case], (
+        f"{case}: output bytes differ from the digests recorded with numpy "
+        f"{NUMPY_VERSION}; this run uses numpy {np.__version__}")

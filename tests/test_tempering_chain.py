@@ -82,10 +82,9 @@ def test_make_ladder_refuses_too_many_levels(sigma2, c2, count):
 
 
 def test_make_ladder_refuses_a_zero_spacing():
-    # D**2 overflows, so the spacing is 0 and the ladder would never reach 1
-    far = GaussianMixture([0.5, 0.5], [[-1e200], [1e200]], 1.0)
+    # D overflows at construction, so the spacing is 0 and the ladder would never reach 1
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="unboundedly many"):
-        make_ladder(far)
+        make_ladder(GaussianMixture([0.5, 0.5], [[-1e200], [1e200]], 1.0))
 
 
 def test_ladder_validation():
