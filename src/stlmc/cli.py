@@ -208,16 +208,16 @@ def cmd_sample(args) -> int:
         "# stlmc sample summary v1",
         f"target: d={target.d} modes={target.n} "
         f"sigma2={target.sigma2:.6g} D={target.D:.6g}",
-        f"ladder: L={result.ladder.L} proposal_mode={params.proposal_mode}",
-        "betas: " + " ".join(f"{b:.6f}" for b in result.ladder.betas),
-        "log_zhat: " + " ".join(f"{v:.6f}" for v in result.estimates.log_zhat),
+        f"ladder: L={len(result.betas)} proposal_mode={params.proposal_mode}",
+        "betas: " + " ".join(f"{b:.6f}" for b in result.betas),
+        "log_zhat: " + " ".join(f"{v:.6f}" for v in result.log_zhat),
         f"run: eta={params.eta} T={params.T} t={params.t} "
-        f"m={params.stage_samples(result.ladder.L)} "
+        f"m={params.stage_samples(len(result.betas))} "
         f"seed={params.seed} workers={workers}",
         f"samples: {result.samples.shape[0]}",
         f"gradient evaluations: {result.stats['grad_evals']}",
     ]
-    lines += _occupancy_lines(result.stats["phases"][-1], result.ladder.L)
+    lines += _occupancy_lines(result.stats["phases"][-1], len(result.betas))
     frac, rest, tv = _measure(target, result.samples, radius, args.bins)
     lines.append(f"mode fractions (radius {radius:.3g}): "
                  + " ".join(f"{v:.4f}" for v in frac) + f"  unassigned {rest:.4f}")
@@ -225,11 +225,11 @@ def cmd_sample(args) -> int:
                  else f"TV distance vs quadrature density ({args.bins} bins): {tv:.4f}")
     if args.trace:
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(1_000_000,)))
-        _, trace = run_stlmc(target, result.ladder, result.estimates.log_zhat, params, rng)
+        _, trace = run_stlmc(target, result.betas, result.log_zhat, params, rng)
 
     os.makedirs(out, exist_ok=True)
     _write_samples_csv(os.path.join(out, "samples.csv"), result.samples)
-    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
+    save_estimates(os.path.join(out, "estimates.json"), result.betas, result.log_zhat, params)
     _report(out, "summary.txt", lines)
     if args.trace:
         write_trace_csv(os.path.join(out, "trace.csv"), trace, target.d)
@@ -263,9 +263,9 @@ def cmd_compare(args) -> int:
 def cmd_estimate_z(args) -> int:
     target, params, _, out, _, result = _main_run(args, with_samples=False)
     lines = ["# stlmc estimate-z report v1",
-             f"L={result.ladder.L} seed={params.seed}"]
-    betas, log_zhat = result.ladder.betas, result.estimates.log_zhat
-    cols = [""] * result.ladder.L
+             f"L={len(result.betas)} seed={params.seed}"]
+    betas, log_zhat = result.betas, result.log_zhat
+    cols = [""] * len(betas)
     tail = "quadrature comparison skipped (d > 2)"
     if target.d <= 2:
         log_z = log_partition_quadrature(target, betas)
@@ -277,7 +277,7 @@ def cmd_estimate_z(args) -> int:
               for lvl, (b, lz, col) in enumerate(zip(betas, log_zhat, cols), 1)]
     lines.append(tail)
     os.makedirs(out, exist_ok=True)
-    save_estimates(os.path.join(out, "estimates.json"), result.ladder, result.estimates, params)
+    save_estimates(os.path.join(out, "estimates.json"), betas, log_zhat, params)
     _report(out, "estimate_z.txt", lines)
     return 0
 
@@ -289,7 +289,7 @@ def cmd_analyze(args) -> int:
     # configs are shared between commands, so the whole run section is checked
     params, _ = _merge_run_params(cfg, args, require_seed=False)
     out = _out_path(args, cfg)
-    ladder = make_ladder(target, params.c1, params.c2)
+    betas = make_ladder(target, params.c1, params.c2)
     cells = args.cells if args.cells is not None else (400 if target.d == 1 else 40)
     n_modes = target.n
     sigma = math.sqrt(target.sigma2)
@@ -298,19 +298,19 @@ def cmd_analyze(args) -> int:
              f"grid: {cells} cells per axis, d={target.d}",
              f"eigenvalues of minus the generator, lambda_1..lambda_{n_modes + 2}:"]
     dens = []
-    shared_R = target.D + 6.0 * sigma / math.sqrt(ladder.betas[0])
-    for b in ladder.betas:
+    shared_R = target.D + 6.0 * sigma / math.sqrt(betas[0])
+    for b in betas:
         gen = discretize_langevin_generator(target, float(b), shared_R, cells)
         ev = gen.eigenvalues(n_modes + 2)
         lines.append(f"  beta={b:.6f}: " + " ".join(f"{v:.6e}" for v in ev))
         dens.append(gen.weights)
     lines.append("adjacent-level overlap (whole-space affinity):")
-    for i in range(1, ladder.L):
+    for i in range(1, len(betas)):
         aff = float(np.minimum(dens[i - 1], dens[i]).sum())
         lines.append(f"  {i}->{i + 1}: {aff:.4f}")
     if isinstance(target, GaussianMixture):
         lines.append("adjacent-level partition-ratio margins:")
-        ratios, lowers = z_ratio_bound_check(target, ladder.betas[:-1], ladder.betas[1:])
+        ratios, lowers = z_ratio_bound_check(target, betas[:-1], betas[1:])
         for i, (ratio, lower) in enumerate(zip(ratios, lowers), 1):
             lines.append(f"  {i}->{i + 1}: ratio={ratio:.4f} lower={lower:.4e} "
                          f"margin={ratio / lower:.1f}x")

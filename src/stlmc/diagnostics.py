@@ -179,8 +179,8 @@ def _axis_panels(target, R, lo, hi, bins):
     panels at most w wide run from -R to lo and from hi to R; a side the
     bins already reach past gets none.
     """
-    curvature = getattr(target, "curvature", 0.0)
-    w = min(math.sqrt(target.sigma2), curvature ** -0.5 if curvature else math.inf,
+    w = min(math.sqrt(target.sigma2),
+            target.curvature ** -0.5 if target.curvature else math.inf,
             3.0 * target.sigma2 / target.D if target.D else math.inf)
     per_bin = max(1, math.ceil((hi - lo) / bins / w))
     return max(0, math.ceil((lo + R) / w)), per_bin, max(0, math.ceil((R - hi) / w))

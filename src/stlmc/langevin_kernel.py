@@ -27,9 +27,8 @@ def check_step_size(eta, target) -> None:
     ``curvature`` is the target's bound on the Hessian its perturbation
     adds (0 without one), so a plain mixture keeps eta <= sigma2 / 2.
     """
-    curvature = getattr(target, "curvature", 0.0)
-    if curvature:
-        limit = 1.0 / (2.0 * (1.0 / target.sigma2 + curvature))
+    if target.curvature:
+        limit = 1.0 / (2.0 * (1.0 / target.sigma2 + target.curvature))
         bound = f"1/(2 (1/sigma2 + curvature)) = {limit}"
     else:
         limit = target.sigma2 / 2.0

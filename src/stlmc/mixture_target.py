@@ -10,11 +10,12 @@ Expanding the square gives ``f(x) = ||x||^2 / (2 sigma2) - logsumexp_i a_i``
 with ``a_i = x . mu_i / sigma2 + log w_i - ||mu_i||^2 / (2 sigma2)``, so
 the kernels need one (n, m) array instead of (m, n, d) differences.
 
-Both target classes carry, as plain attributes set at construction, the
-geometry the sampler sizes its ladder from: ``n`` (components), ``d``,
-``sigma2``, ``D`` (the largest mean norm), ``w_min`` (the smallest
-weight) and ``means``. A ``PerturbedTarget`` copies these from its base
-and adds its bounds ``delta``, ``tau`` and ``curvature``.
+Both target classes carry the same plain attributes, set at
+construction: the geometry the sampler sizes its ladder from, ``n``
+(components), ``d``, ``sigma2``, ``D`` (the largest mean norm),
+``w_min`` (the smallest weight) and ``means``, and the perturbation
+bounds ``delta``, ``tau`` and ``curvature``, which are 0 for a mixture.
+A ``PerturbedTarget`` copies the geometry from its base.
 
 Each target class has one energy kernel, ``_energy``, and one gradient
 kernel, ``_grad``, both on checked (m, d) points. The mixture's energy
@@ -111,7 +112,9 @@ class GaussianMixture:
 
     Construction also sets the geometry that sizes the ladder: ``n``
     components in ``d`` dimensions, ``D`` = max_i ||mu_i|| and ``w_min``,
-    the smallest weight.
+    the smallest weight; and ``delta = tau = curvature = 0``, as there is
+    no perturbation. Means and sigma2 for which D, mu_i / sigma2 or
+    ||mu_i||^2 / (2 sigma2) overflow are refused.
     """
 
     weights: np.ndarray
@@ -141,12 +144,21 @@ class GaussianMixture:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "sigma2", s2)
+        with np.errstate(over="ignore"):
+            D = float(np.linalg.norm(mu, axis=1).max())
+            mu_scaled = mu / s2
+            shift = np.log(w) - np.einsum("nd,nd->n", mu, mu) / (2.0 * s2)
+        if not (math.isfinite(D) and np.isfinite(mu_scaled).all() and np.isfinite(shift).all()):
+            raise ValueError(
+                f"means up to {np.abs(mu).max():.6g} in size with sigma2={s2:.6g} overflow "
+                "D = max ||mu_i||, mu_i / sigma2 or ||mu_i||^2 / (2 sigma2)")
         object.__setattr__(self, "n", w.shape[0])
         object.__setattr__(self, "d", mu.shape[1])
-        object.__setattr__(self, "D", float(np.linalg.norm(mu, axis=1).max()))
+        object.__setattr__(self, "D", D)
         object.__setattr__(self, "w_min", float(w.min()))
-        object.__setattr__(self, "_mu_scaled", mu / s2)
-        shift = np.log(w) - np.einsum("nd,nd->n", mu, mu) / (2.0 * s2)
+        for name in ("delta", "tau", "curvature"):
+            object.__setattr__(self, name, 0.0)
+        object.__setattr__(self, "_mu_scaled", mu_scaled)
         object.__setattr__(self, "_a_shift", shift[:, None])
 
     def _logits(self, pts):

@@ -33,7 +33,6 @@ from .langevin_kernel import check_step_size
 from .mixture_target import GaussianMixture
 from .tempering_chain import (
     RunParams,
-    TemperatureLadder,
     make_ladder,
     merge_batch_stats,
     new_batch_stats,
@@ -41,7 +40,6 @@ from .tempering_chain import (
 )
 
 __all__ = [
-    "PartitionEstimates",
     "MainResult",
     "ConcentrationResult",
     "estimate_next_z",
@@ -64,35 +62,18 @@ _GROUP_SIZE = 40_960
 _CHUNK_DRAWS = 131_072
 
 
-@dataclass(frozen=True)
-class PartitionEstimates:
-    """Log-domain partition estimates, one entry per ladder level."""
-
-    log_zhat: np.ndarray
-
-    def __post_init__(self):
-        lz = np.asarray(self.log_zhat, dtype=float)
-        if lz.ndim != 1 or lz.size == 0:
-            raise ValueError("log_zhat must be a non-empty 1-d sequence")
-        if lz[0] != 0.0:
-            raise ValueError("the first estimate anchors the scale and must be 0")
-        if not np.all(np.isfinite(lz)):
-            raise ValueError("estimates must be finite")
-        lz = lz.copy()
-        lz.flags.writeable = False
-        object.__setattr__(self, "log_zhat", lz)
-
-
 @dataclass
 class MainResult:
-    """A run's output. ``stats["phases"][i]`` is stage i + 1's batch stats,
-    the final sampling stage last when ``n_samples`` > 0, and
+    """A run's output. ``betas`` is the ladder and ``log_zhat`` the log
+    normalizer estimates, one per level with ``log_zhat[0] = 0``; both
+    are read-only arrays. ``stats["phases"][i]`` is stage i + 1's batch
+    stats, the final sampling stage last when ``n_samples`` > 0, and
     ``stats["grad_evals"]`` is the run's total.
     """
 
     samples: np.ndarray
-    estimates: PartitionEstimates
-    ladder: TemperatureLadder
+    betas: np.ndarray
+    log_zhat: np.ndarray
     stats: dict
 
 
@@ -124,7 +105,7 @@ def estimate_next_z(samples, target, beta_l, beta_next, log_zhat_l) -> float:
     fs = np.atleast_1d(target.f(samples))
     a = (beta_l - beta_next) * fs
     log_ratio = float(_logsumexp0(a) - math.log(fs.shape[0]))
-    allowance = (beta_next - beta_l) * getattr(target, "delta", 0.0)
+    allowance = (beta_next - beta_l) * target.delta
     if log_ratio > allowance + 1e-12:
         raise BoundViolationError("estimate ratio factor", log_ratio, allowance)
     return float(log_zhat_l) + log_ratio
@@ -200,8 +181,8 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     if params.seed is None:
         raise ValueError("params.seed is required for reproducible runs")
     check_step_size(params.eta, target)
-    ladder = make_ladder(target, params.c1, params.c2)
-    L = ladder.L
+    betas = make_ladder(target, params.c1, params.c2)
+    L = len(betas)
     m = params.stage_samples(L)
     lz = [0.0]
     phases = []
@@ -215,7 +196,7 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
         for ell in range(1, L):
             try:
                 xs, st = _collect_top(
-                    target, ladder.betas[:ell], np.asarray(lz), m, params, workers, pool
+                    target, betas[:ell], np.asarray(lz), m, params, workers, pool
                 )
             except RetriesExhaustedError as exc:
                 raise RetriesExhaustedError(
@@ -223,16 +204,15 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
                     message=f"estimation stage {ell} of {L} failed: {exc}",
                 ) from exc
             phases.append(st)
-            lz.append(estimate_next_z(xs, target, ladder.betas[ell - 1], ladder.betas[ell],
-                                      lz[-1]))
-        estimates = PartitionEstimates(np.asarray(lz))
+            lz.append(estimate_next_z(xs, target, betas[ell - 1], betas[ell], lz[-1]))
+        log_zhat = np.asarray(lz)
+        log_zhat.flags.writeable = False
         if n_samples > 0:
-            samples, st = _collect_top(
-                target, ladder.betas, estimates.log_zhat, int(n_samples), params, workers, pool
-            )
+            samples, st = _collect_top(target, betas, log_zhat, int(n_samples), params,
+                                       workers, pool)
             phases.append(st)
     stats = {"grad_evals": sum(st["grad_evals"] for st in phases), "phases": phases}
-    return MainResult(samples=samples, estimates=estimates, ladder=ladder, stats=stats)
+    return MainResult(samples=samples, betas=betas, log_zhat=log_zhat, stats=stats)
 
 
 def sample_exact(mixture: GaussianMixture, n, rng, beta=1.0):
@@ -345,13 +325,12 @@ def concentration_check(
     )
 
 
-def save_estimates(path, ladder: TemperatureLadder, estimates: PartitionEstimates,
-                   params: RunParams) -> None:
+def save_estimates(path, betas, log_zhat, params: RunParams) -> None:
     """Persist estimates with enough context to resume or audit a run."""
     payload = {
         "format": "stlmc-estimates-v1",
-        "betas": [float(b) for b in ladder.betas],
-        "log_zhat": [float(v) for v in estimates.log_zhat],
+        "betas": [float(b) for b in betas],
+        "log_zhat": [float(v) for v in log_zhat],
         "seed": params.seed,
         "params": {
             "eta": params.eta,

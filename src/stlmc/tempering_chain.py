@@ -25,8 +25,9 @@ and each block's results are the same as if it ran alone, so callers
 choose the width of a call apart from how its randomness is split.
 ``run_stlmc`` runs restarting attempts in rounds, as the rows of such
 a batch, and records the trace of the chain that reaches the top.
-Every run option comes from ``RunParams``; ``TemperatureLadder`` holds
-only the inverse temperatures.
+Every run option comes from ``RunParams``, and a ladder is the plain
+array of its inverse temperatures, from ``make_ladder`` through both
+callers.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .errors import RetriesExhaustedError, _coerce
 from .langevin_kernel import _updates, check_step_size
 
 __all__ = [
-    "TemperatureLadder",
     "RunParams",
     "make_ladder",
     "run_stlmc",
@@ -54,31 +54,6 @@ _PROPOSAL_MODES = ("uniform", "neighbor")
 _MAX_LEVELS = 10_000
 # attempts per round of run_stlmc; params.max_retries rounds run at most
 _TRACE_ROWS = 100
-
-
-@dataclass(frozen=True)
-class TemperatureLadder:
-    """Strictly increasing inverse temperatures ending at 1; levels carry equal weight."""
-
-    betas: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.betas, dtype=float)
-        if b.ndim != 1 or b.size == 0:
-            raise ValueError("betas must be a non-empty 1-d sequence")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("betas must be strictly increasing")
-        if abs(b[-1] - 1.0) > 1e-12:
-            raise ValueError(f"last beta must equal 1 (got {b[-1]!r})")
-        if b[0] <= 0:
-            raise ValueError("betas must be positive")
-        b = b.copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "betas", b)
-
-    @property
-    def L(self) -> int:
-        return self.betas.shape[0]
 
 
 @dataclass(frozen=True)
@@ -133,15 +108,17 @@ class RunParams:
         return self.m if self.m is not None else 10 * L * L
 
 
-def make_ladder(target, c1=1.0, c2=1.0) -> TemperatureLadder:
-    """Arithmetic temperature ladder sized from the target geometry.
+def make_ladder(target, c1=1.0, c2=1.0) -> np.ndarray:
+    """Arithmetic ladder of inverse temperatures sized from the target geometry.
 
     The lowest inverse temperature is ``min(1, c1 * sigma2 / D^2)`` and
     the spacing is ``c2 * sigma2 / (D^2 (d + ln(1/w_min)))``, clamped so
     the last level lands exactly on 1. A target with all means at the
     origin (D = 0) is already unimodal and gets the single-level ladder.
     A ladder of more than ``_MAX_LEVELS`` levels, 1 + ceil((1 - beta_1) /
-    spacing), is refused with ``ValueError`` before it is built.
+    spacing), is refused with ``ValueError`` before it is built. The
+    result is a read-only 1-d array, strictly increasing from beta_1 > 0
+    to exactly 1; levels carry equal weight.
     """
     if not (c1 > 0 and c2 > 0):
         raise ValueError("c1 and c2 must be positive")
@@ -161,7 +138,9 @@ def make_ladder(target, c1=1.0, c2=1.0) -> TemperatureLadder:
         betas = [b1]
         while betas[-1] < 1.0:
             betas.append(min(betas[-1] + step, 1.0))
-    return TemperatureLadder(np.asarray(betas))
+    betas = np.asarray(betas)
+    betas.flags.writeable = False
+    return betas
 
 
 def new_batch_stats(L: int) -> dict:
@@ -308,7 +287,7 @@ def run_tempering_batch(
     return x, lev
 
 
-def run_stlmc(target, ladder, log_zhat, params, rng):
+def run_stlmc(target, betas, log_zhat, params, rng):
     """Restart the tempering chain until it ends at the top; return (sample, trace).
 
     Each attempt starts at level 1 from ``N(0, (sigma2 / beta_1) I)``
@@ -331,10 +310,10 @@ def run_stlmc(target, ladder, log_zhat, params, rng):
         the round count and a histogram of 1-based final levels.
     """
     check_step_size(params.eta, target)
+    betas = np.asarray(betas, dtype=float)
     log_zhat = np.asarray(log_zhat, dtype=float)
-    if log_zhat.shape != (ladder.L,):
+    if log_zhat.shape != betas.shape:
         raise ValueError("log_zhat must provide one entry per ladder level")
-    betas = ladder.betas
     t, n, d = params.t, _TRACE_ROWS, target.d
     trace = []
     final_levels: dict[int, int] = {}
@@ -348,7 +327,7 @@ def run_stlmc(target, ladder, log_zhat, params, rng):
             heads, accepted = _chain_step(target, x, lev, betas, log_zhat, params, [rng], [n])
             moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
             path[step] = x
-        top = np.flatnonzero(lev == ladder.L - 1)
+        top = np.flatnonzero(lev == len(betas) - 1)
         rows = top[0] + 1 if top.size else n
         trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
         if top.size:

@@ -104,8 +104,7 @@ def mixture_suite():
         rng = np.random.default_rng(12)
         for _ in range(100):
             mix = _random_mixture(rng)
-            lad = make_ladder(mix)
-            b = lad.betas
+            b = make_ladder(mix)
             if mix.D > 0:
                 cap = mix.sigma2 / mix.D**2
                 spacing_cap = mix.sigma2 / (mix.D**2 * (mix.d + math.log(1.0 / mix.w_min)))
@@ -120,13 +119,13 @@ def mixture_suite():
     _run(checks, "ladder invariants", ladder_invariants)
 
     def desk_ladder_shape():
-        lad = make_ladder(desk)
+        b = make_ladder(desk)
         spacing = 1.0 / (9.0 * (1.0 + math.log(2.0)))
-        ok = (lad.L == 15
-              and abs(lad.betas[0] - 1.0 / 9.0) < 1e-15
-              and abs(lad.betas[1] - lad.betas[0] - spacing) < 1e-15
-              and lad.betas[-1] == 1.0)
-        return ok, f"L={lad.L} first={lad.betas[0]:.6f} spacing={spacing:.6f}"
+        ok = (len(b) == 15
+              and abs(b[0] - 1.0 / 9.0) < 1e-15
+              and abs(b[1] - b[0] - spacing) < 1e-15
+              and b[-1] == 1.0)
+        return ok, f"L={len(b)} first={b[0]:.6f} spacing={spacing:.6f}"
 
     _run(checks, "bimodal ladder closed form", desk_ladder_shape)
 
@@ -263,7 +262,7 @@ def mixture_suite():
 def estimator_suite():
     checks = []
     desk = _desk()
-    ladder = make_ladder(desk)
+    betas = make_ladder(desk)
 
     def gaussian_ratio():
         gauss = GaussianMixture([1.0], [[0.0]], 1.0)
@@ -287,14 +286,14 @@ def estimator_suite():
     _run(checks, "estimator degenerate cases", degenerate_cases)
 
     def ratio_interval():
-        ratios, _ = z_ratio_bound_check(desk, ladder.betas[:-1], ladder.betas[1:])
+        ratios, _ = z_ratio_bound_check(desk, betas[:-1], betas[1:])
         worst = min(1.0, float(ratios.min()))
         return worst >= 0.1, f"min adjacent ratio {worst:.4f} (claimed Omega(1) >= 0.1)"
 
     _run(checks, "adjacent partition ratios within interval", ratio_interval)
 
     def concentration():
-        bl, bn = float(ladder.betas[7]), float(ladder.betas[8])
+        bl, bn = float(betas[7]), float(betas[8])
         res = concentration_check(desk, bl, bn, n_samples=1000, epsilon=0.1,
                                   n_trials=1000, seed=3)
         se = max(math.sqrt(res.envelope * (1 - res.envelope) / res.n_trials),
@@ -310,7 +309,7 @@ def estimator_suite():
 
     def unbiasedness():
         rng = np.random.default_rng(19)
-        bl, bn = float(ladder.betas[4]), float(ladder.betas[5])
+        bl, bn = float(betas[4]), float(betas[5])
         xs = sample_exact(desk, 10_000, rng, beta=bl)
         g = np.exp((bl - bn) * desk.f(xs))
         log_z = log_partition_quadrature(desk, np.array([bl, bn]))
@@ -322,16 +321,16 @@ def estimator_suite():
     _run(checks, "ratio estimator unbiasedness", unbiasedness)
 
     def exact_z_occupancy():
-        log_z = log_partition_quadrature(desk, ladder.betas)
+        log_z = log_partition_quadrature(desk, betas)
         log_z = log_z - log_z[0]
         params = RunParams(eta=0.1, T=0.5, t=300)
-        stats = new_batch_stats(ladder.L)
+        stats = new_batch_stats(len(betas))
         run_tempering_batch(
-            desk, ladder.betas, log_z, 512, params, np.random.default_rng(20),
+            desk, betas, log_z, 512, params, np.random.default_rng(20),
             stats=stats, occupancy_burn_in=100,
         )
         occ = stats["occupancy"] / stats["occupancy"].sum()
-        dev = float(np.abs(occ - 1.0 / ladder.L).max())
+        dev = float(np.abs(occ - 1.0 / len(betas)).max())
         return dev <= 0.05, f"max |occupancy - 1/L| = {dev:.4f} with true normalizers"
 
     _run(checks, "level occupancy at exact normalizers", exact_z_occupancy)

@@ -103,10 +103,10 @@ def test_criterion_02_metastability_contrast():
 
 def test_criterion_03_normalizer_accuracy(desk_run):
     result, _ = desk_run
-    betas = result.ladder.betas
+    betas = result.betas
     log_z1 = log_partition_quadrature(DESK, float(betas[0]))
     worst = 0.0
-    for b, lz in zip(betas, result.estimates.log_zhat):
+    for b, lz in zip(betas, result.log_zhat):
         truth = log_partition_quadrature(DESK, float(b)) - log_z1
         worst = max(worst, abs(float(lz) - truth))
     assert worst <= 1.0
@@ -247,8 +247,8 @@ def test_criterion_07_structural_inequalities():
         assert lhs <= rhs + 1e-9
 
     # normalizer ratio interval along the desk ladder
-    ladder = make_ladder(DESK)
-    for a, b in zip(ladder.betas[:-1], ladder.betas[1:]):
+    betas = make_ladder(DESK)
+    for a, b in zip(betas[:-1], betas[1:]):
         ratio, lower = z_ratio_bound_check(DESK, float(a), float(b))
         assert lower <= ratio <= 1.0 + 1e-12
 
@@ -290,9 +290,9 @@ def test_criterion_07_structural_inequalities():
 
 
 def test_criterion_08_estimator_concentration():
-    ladder = make_ladder(DESK)
-    res = concentration_check(DESK, float(ladder.betas[7]),
-                              float(ladder.betas[8]),
+    betas = make_ladder(DESK)
+    res = concentration_check(DESK, float(betas[7]),
+                              float(betas[8]),
                               n_samples=1000, epsilon=0.1,
                               n_trials=1000, seed=3)
     se = max(math.sqrt(res.envelope * (1.0 - res.envelope) / res.n_trials),

@@ -171,6 +171,18 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_target_is_usage_error(tmp_path, capsys):
+    # D = max ||mu_i|| overflowed to inf, and the ladder was blamed for it
+    cfg = write_config(tmp_path, target={
+        "weights": [0.5, 0.5], "means": [[-1e200], [1e200]], "sigma2": 1.0,
+    })
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "means up to 1e+200" in err and "sigma2=1" in err
+    assert not out.exists()
+
+
 def test_missing_target_field_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, target={"weights": [1.0], "means": [[0.0]]})
     assert main(["sample", "--config", str(cfg)]) == 2

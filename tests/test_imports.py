@@ -14,7 +14,8 @@ reads it outside its own definition, or when it is a user entry point
 that only the tests and README call. A public method or property of a
 public package class counts as read when a package or ``bench/`` module
 reads an attribute of its name outside its own body, or when it is such
-an entry point.
+an entry point. Each entry point must itself name a definition: a name in
+some module's ``__all__`` or a public ``Class.method`` of the package.
 """
 import ast
 from pathlib import Path
@@ -269,3 +270,31 @@ def run(t: Thing):
     assert _unread_public_methods(sources, bench) == ["Thing.recursive", "Thing.unread"]
     assert _unread_public_methods(sources) == ["Thing.only_in_bench", "Thing.recursive",
                                                "Thing.unread"]
+
+
+def _stale_entry_points(sources, entry_points):
+    """Entry points that name neither an ``__all__`` entry nor a public method of ``sources``."""
+    trees = [ast.parse(source) for source in sources]
+    defined = set().union(*map(_exported_names, trees), *map(_public_methods, trees))
+    return sorted(set(entry_points) - defined)
+
+
+def test_entry_points_name_package_definitions():
+    assert _stale_entry_points([path.read_text() for path in MODULES], ENTRY_POINTS) == []
+
+
+def test_checker_sees_stale_entry_points():
+    sources = ["""
+__all__ = ["load_estimates"]
+def load_estimates():
+    pass
+class DiscretizedGenerator:
+    def to_chain(self):
+        pass
+    def _private(self):
+        pass
+"""]
+    entry_points = {"load_estimates", "DiscretizedGenerator.to_chain",
+                    "DiscretizedGenerator._private", "perturbation_gap_check"}
+    assert _stale_entry_points(sources, entry_points) == [
+        "DiscretizedGenerator._private", "perturbation_gap_check"]

@@ -1,5 +1,6 @@
 """Tests for mixture energies, gradients, and the structural bounds on them."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ def test_desk_geometry_and_symmetry(desk):
     assert desk.n == 2
     assert desk.D == 3.0
     assert desk.w_min == 0.5
+    # a mixture carries the perturbation bounds a PerturbedTarget has, all 0
+    assert (desk.delta, desk.tau, desk.curvature) == (0.0, 0.0, 0.0)
     # at a mode only the local bump contributes appreciably
     assert desk.f(3.0) == pytest.approx(math.log(2.0), abs=1e-7)
     assert desk.f(-3.0) == pytest.approx(desk.f(3.0), abs=1e-12)
@@ -88,6 +91,19 @@ def test_input_validation():
 def test_constructor_rejects_bad_parameters(weights, means, sigma2):
     with pytest.raises(ValueError):
         GaussianMixture(weights, means, sigma2)
+
+
+@pytest.mark.parametrize("means, sigma2, size", [
+    ([[-1e200], [1e200]], 1.0, "1e+200"),     # D = max ||mu_i|| squares past the float range
+    ([[-1e10], [1e10]], 1e-300, "1e+10"),     # mu / sigma2 and ||mu||^2 / (2 sigma2)
+    ([[0.0, 1e160], [1.0, 0.0]], 1e300, "1e+160"),
+])
+def test_constructor_refuses_overflowing_geometry(means, sigma2, size):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="means up to") as exc:
+            GaussianMixture([0.5, 0.5], means, sigma2)
+    assert size in str(exc.value) and f"sigma2={sigma2:.6g}" in str(exc.value)
 
 
 @settings(max_examples=50, deadline=None)

@@ -16,7 +16,6 @@ from stlmc.mixture_target import (
     SinusoidalPerturbation,
 )
 from stlmc.partition_estimator import (
-    PartitionEstimates,
     _collect_top,
     concentration_check,
     estimate_next_z,
@@ -33,6 +32,7 @@ class _NegativeEnergy:
     """Stand-in target whose energy dips below zero with no declared slack."""
 
     d = 1
+    delta = 0.0
 
     def f(self, x):
         return np.full(np.asarray(x).shape[0], -1.0)
@@ -79,23 +79,13 @@ def test_single_gaussian_ratio_estimate():
     assert math.exp(est) == pytest.approx(math.sqrt(beta_l / beta_next), rel=0.05)
 
 
-def test_partition_estimates_validation():
-    PartitionEstimates(np.array([0.0, -0.5]))
-    with pytest.raises(ValueError, match="must be 0"):
-        PartitionEstimates(np.array([0.1, -0.5]))
-    with pytest.raises(ValueError, match="finite"):
-        PartitionEstimates(np.array([0.0, np.nan]))
-    with pytest.raises(ValueError):
-        PartitionEstimates(np.zeros((2, 2)))
-
-
 def test_run_main_algorithm_single_level():
     single = GaussianMixture([1.0], [[0.0, 0.0]], 1.0)
     res = run_main_algorithm(
         single, RunParams(eta=0.1, T=0.5, t=30, seed=0), n_samples=50
     )
-    assert res.ladder.L == 1
-    np.testing.assert_allclose(res.estimates.log_zhat, [0.0])
+    assert len(res.betas) == 1
+    np.testing.assert_allclose(res.log_zhat, [0.0])
     assert res.samples.shape == (50, 2)
     assert len(res.stats["phases"]) == 1
     assert res.stats["grad_evals"] > 0
@@ -104,7 +94,7 @@ def test_run_main_algorithm_single_level():
 def test_stats_hold_one_batch_stats_dict_per_stage(cheap):
     params = RunParams(eta=0.1, T=0.5, t=40, m=20, seed=4)
     res = run_main_algorithm(cheap, params, n_samples=30)
-    L = res.ladder.L
+    L = len(res.betas)
     assert res.stats.keys() == {"grad_evals", "phases"}
     assert len(res.stats["phases"]) == L
     for ell, phase in enumerate(res.stats["phases"], 1):
@@ -113,6 +103,10 @@ def test_stats_hold_one_batch_stats_dict_per_stage(cheap):
         assert phase["occupancy"].shape == (ell,)
         assert phase["occupancy"].sum() == phase["chains"] * params.t
     assert sum(p["grad_evals"] for p in res.stats["phases"]) == res.stats["grad_evals"]
+    # the ladder and the estimates are read-only arrays, one entry per level
+    assert res.log_zhat[0] == 0 and np.all(np.isfinite(res.log_zhat))
+    assert len(res.log_zhat) == len(res.betas)
+    assert not res.betas.flags.writeable and not res.log_zhat.flags.writeable
     # without a sampling stage the record holds the L - 1 estimation stages
     est_only = run_main_algorithm(cheap, params, n_samples=0)
     assert len(est_only.stats["phases"]) == L - 1
@@ -128,7 +122,7 @@ def test_run_main_algorithm_is_deterministic(cheap):
     a = run_main_algorithm(cheap, params, n_samples=40)
     b = run_main_algorithm(cheap, params, n_samples=40)
     np.testing.assert_array_equal(a.samples, b.samples)
-    np.testing.assert_array_equal(a.estimates.log_zhat, b.estimates.log_zhat)
+    np.testing.assert_array_equal(a.log_zhat, b.log_zhat)
 
 
 def test_run_main_algorithm_worker_invariance(cheap):
@@ -136,7 +130,7 @@ def test_run_main_algorithm_worker_invariance(cheap):
     a = run_main_algorithm(cheap, params, n_samples=40)
     c = run_main_algorithm(cheap, params, n_samples=40, workers=2)
     np.testing.assert_array_equal(a.samples, c.samples)
-    np.testing.assert_array_equal(a.estimates.log_zhat, c.estimates.log_zhat)
+    np.testing.assert_array_equal(a.log_zhat, c.log_zhat)
 
 
 def test_worker_invariance_with_several_groups(cheap):
@@ -146,7 +140,7 @@ def test_worker_invariance_with_several_groups(cheap):
     c = run_main_algorithm(cheap, params, n_samples=1000, workers=2)
     assert a.stats["phases"][-1]["chains"] >= 10 * 512
     np.testing.assert_array_equal(a.samples, c.samples)
-    np.testing.assert_array_equal(a.estimates.log_zhat, c.estimates.log_zhat)
+    np.testing.assert_array_equal(a.log_zhat, c.log_zhat)
     assert a.stats["grad_evals"] == c.stats["grad_evals"]
     assert len(a.stats["phases"]) == len(c.stats["phases"])
     for pa, pc in zip(a.stats["phases"], c.stats["phases"]):
@@ -188,7 +182,7 @@ def test_pool_has_no_more_processes_than_usable_cpus(cheap, monkeypatch):
     assert made == [2]
     for res in (capped, alone):
         np.testing.assert_array_equal(res.samples, ref.samples)
-        np.testing.assert_array_equal(res.estimates.log_zhat, ref.estimates.log_zhat)
+        np.testing.assert_array_equal(res.log_zhat, ref.log_zhat)
 
 
 def test_round_budget_is_max_retries(cheap):
@@ -198,7 +192,7 @@ def test_round_budget_is_max_retries(cheap):
     assert res.samples.shape == (10, 1)
     assert all(p["chains"] == 512 for p in res.stats["phases"])
     # a wildly wrong normalizer keeps every replica off the top level
-    betas = make_ladder(cheap).betas[:2]
+    betas = make_ladder(cheap)[:2]
     params = RunParams(eta=0.1, T=0.5, t=10, seed=3, max_retries=2)
     with pytest.raises(RetriesExhaustedError,
                        match="0/10 top-level replicas after 2 rounds") as exc:
@@ -210,7 +204,7 @@ def test_round_budget_is_max_retries(cheap):
 def test_group_cap_follows_chains_times_d(monkeypatch, cheap):
     # a d = 1 stage of 20 blocks runs as one group under the chains x d cap
     # and as 8 + 8 + 4 under an 8-block cap, with the same bits
-    betas = make_ladder(cheap).betas
+    betas = make_ladder(cheap)
     lz = np.array([0.0, -0.2, -0.35, -0.45])[:len(betas)]
     params = RunParams(eta=0.1, T=0.5, t=30, seed=8)
     widths = []
@@ -238,9 +232,9 @@ def test_group_cap_follows_chains_times_d(monkeypatch, cheap):
 def test_estimates_track_quadrature_over_seeds(cheap):
     # every level's estimate stays inside the compounding (1 + 1/L)^(l-1)
     # envelope around the true log ratio, across independent seeds
-    ladder = make_ladder(cheap)
-    L = ladder.L
-    lzq = np.array([log_partition_quadrature(cheap, b) for b in ladder.betas])
+    betas = make_ladder(cheap)
+    L = len(betas)
+    lzq = np.array([log_partition_quadrature(cheap, b) for b in betas])
     true_lz = lzq - lzq[0]
     env = np.arange(L) * math.log(1.0 + 1.0 / L)
     failures = 0
@@ -250,7 +244,7 @@ def test_estimates_track_quadrature_over_seeds(cheap):
             cheap, RunParams(eta=0.1, T=0.5, t=80, seed=seed), n_samples=0
         )
         assert res.samples.shape == (0, 1)
-        err = np.abs(res.estimates.log_zhat - true_lz)
+        err = np.abs(res.log_zhat - true_lz)
         if np.any(err > env + 1e-12):
             failures += 1
     assert failures / n_runs <= 0.05
@@ -264,7 +258,7 @@ def test_concentration_check_identical_levels(cheap):
 
 
 def test_concentration_check_desk_pair(desk):
-    betas = make_ladder(desk).betas
+    betas = make_ladder(desk)
     res = concentration_check(
         desk, float(betas[4]), float(betas[5]), n_samples=400, n_trials=60, seed=3
     )
@@ -464,14 +458,14 @@ def test_vector_log_partition_quadrature_matches_scalar_calls(desk):
 
 
 def test_save_load_estimates_round_trip(tmp_path, cheap):
-    ladder = make_ladder(cheap)
-    est = PartitionEstimates(np.array([0.0, -0.3, -0.6, -0.7]))
+    betas = make_ladder(cheap)
+    log_zhat = np.array([0.0, -0.3, -0.6, -0.7])
     params = RunParams(eta=0.1, T=0.5, t=80, seed=12)
     path = tmp_path / "estimates.json"
-    save_estimates(path, ladder, est, params)
+    save_estimates(path, betas, log_zhat, params)
     payload = load_estimates(path)
-    np.testing.assert_allclose(payload["betas"], ladder.betas)
-    np.testing.assert_allclose(payload["log_zhat"], est.log_zhat)
+    np.testing.assert_allclose(payload["betas"], betas)
+    np.testing.assert_allclose(payload["log_zhat"], log_zhat)
     assert payload["seed"] == 12
     assert payload["params"]["t"] == 80
     assert payload["params"]["proposal_mode"] == "neighbor"
