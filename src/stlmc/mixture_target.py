@@ -97,7 +97,7 @@ def _evaluate(target, x, value, grad):
     return fv, g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """Mixture of spherical Gaussians with one shared variance.
 
@@ -114,7 +114,8 @@ class GaussianMixture:
     components in ``d`` dimensions, ``D`` = max_i ||mu_i|| and ``w_min``,
     the smallest weight; and ``delta = tau = curvature = 0``, as there is
     no perturbation. Means and sigma2 for which D, mu_i / sigma2 or
-    ||mu_i||^2 / (2 sigma2) overflow are refused.
+    ||mu_i||^2 / (2 sigma2) overflow are refused. Equality and hashing
+    are by identity.
     """
 
     weights: np.ndarray

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .langevin_kernel import check_step_size
 from .mixture_target import GaussianMixture
 from .tempering_chain import (
     RunParams,
+    _usable_cpus,
     make_ladder,
     merge_batch_stats,
     new_batch_stats,
@@ -189,9 +189,7 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     samples = np.zeros((0, target.d))
     # a fork pool starts all its processes at the first map, and more
     # processes than CPUs only add forks; outputs depend on neither
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(workers, cpus)
+    workers = min(workers, _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for ell in range(1, L):
             try:

@@ -13,10 +13,19 @@ beta = 1, so an accepted run ends at the true target temperature; only
 the trace file, the CLI summary and ``RetriesExhaustedError`` print
 them 1-based.
 
-One step function, ``_chain_step``, advances rows of chains for both
-callers below. Its within-level moves run
-``RunParams.steps_per_macro`` updates through ``langevin_kernel``'s
-update loop, the one ``run_macro_step`` also runs.
+One step, in two parts, advances rows of chains for both callers
+below: ``_draw_step`` takes the step's random numbers from the
+generators and ``_apply_step`` runs the moves on them. Within-level
+moves run ``RunParams.steps_per_macro`` updates through
+``langevin_kernel``'s update loop, the one ``run_macro_step`` also runs.
+What a step draws, and how much, depends only on its coin flips, never
+on the chains, so for wide steps (``_helper`` says which) a helper
+thread draws step s + 1 while the caller applies step s; numpy releases
+the GIL in its generator fills and large ufuncs. The helper only draws:
+target calls and ``stats`` stay on the calling thread, and each
+generator sees the same calls in the same order, so the results keep
+their bits. The thread ends before the call returns or raises.
+
 ``run_tempering_batch`` advances many independent replicas at once,
 gathering the rows that drew a within-level move so the gradient loop
 only touches active chains. Its rows may form several blocks, each
@@ -32,7 +41,10 @@ callers.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +66,9 @@ _PROPOSAL_MODES = ("uniform", "neighbor")
 _MAX_LEVELS = 10_000
 # attempts per round of run_stlmc; params.max_retries rounds run at most
 _TRACE_ROWS = 100
+# a step that draws this many numbers on average is drawn ahead on a helper
+# thread (see _helper)
+_HELPER_DRAWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -175,23 +190,22 @@ def _level_log_ratio(f_x, k, k_prime, betas, log_zhat):
     return (betas[k] - betas[k_prime]) * f_x + log_zhat[k] - log_zhat[k_prime]
 
 
-def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats=None):
-    """Advance every row of (x, lev) by one tempering step, in place.
+def _draw_step(rngs, sizes, d, L, params):
+    """Draw one step's random numbers for rows in blocks of ``sizes`` rows.
 
-    Rows form blocks of ``sizes`` rows, block b drawing from ``rngs[b]``
-    in the order ``run_tempering_batch`` documents. Proposal, acceptance
-    and gradient-evaluation counts go into ``stats`` when it is given.
-    Returns two row masks: ``heads`` (the row made a within-level move)
-    and ``accepted`` (the row's level move was taken).
+    Block b draws from ``rngs[b]`` in the order ``run_tempering_batch``
+    documents. How many numbers that is depends only on the coin flips,
+    never on the chains, so a step can be drawn before the previous one
+    is applied. Returns ``(heads, noise, move, log_u)``: the within-level
+    row mask; the (K, d, h) Langevin noise of the heads rows, scaled by
+    sqrt(2 eta); and for the tails rows the neighbour direction (+-1) or
+    the uniform proposal, and log(1 - U) of the acceptance uniforms.
     """
     K = params.steps_per_macro
-    d = x.shape[1]
-    L = betas.shape[0]
     heads = _per_block(rngs, sizes, lambda g, c: g.random(c)) < 0.5
-    accepted = np.zeros(heads.shape, dtype=bool)
     n_heads = np.count_nonzero(heads.reshape(len(rngs), -1), axis=1)
-    idx1 = np.flatnonzero(heads)
-    if idx1.size:
+    noise = move = log_u = None
+    if n_heads.sum():
         # one (K, h, d) draw per block is its K successive (h, d) draws;
         # the updates run on (d, h) arrays, the mixture kernel's layout
         noise = np.concatenate(
@@ -199,28 +213,46 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats=None
         )
         noise *= math.sqrt(2.0 * params.eta)
         noise = noise.transpose(0, 2, 1)
+    n_tails = sizes[0] - n_heads
+    if n_tails.sum():
+        if params.proposal_mode == "neighbor":
+            flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
+            move = np.where(flip < 0.5, -1, 1)
+        else:
+            move = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
+        # 1 - U lies in (0, 1], keeping the log finite
+        log_u = np.log(1.0 - _per_block(rngs, n_tails, lambda g, c: g.random(c)))
+    return heads, noise, move, log_u
+
+
+def _apply_step(target, x, lev, betas, log_zhat, params, draws, stats=None):
+    """Advance every row of (x, lev) by one tempering step on ``draws``, in place.
+
+    ``draws`` is one ``_draw_step`` result for these rows. Proposal,
+    acceptance and gradient-evaluation counts go into ``stats`` when it
+    is given. Returns two row masks: ``heads`` (the row made a
+    within-level move) and ``accepted`` (the row's level move was taken).
+    """
+    heads, noise, move, log_u = draws
+    L = betas.shape[0]
+    accepted = np.zeros(heads.shape, dtype=bool)
+    if noise is not None:
+        idx1 = np.flatnonzero(heads)
         xs = np.ascontiguousarray(x[idx1].T)
         x[idx1] = _updates(target, xs, params.eta * betas[lev[idx1]], noise).T
         if stats is not None:
-            stats["grad_evals"] += K * idx1.size
-    idx2 = np.flatnonzero(~heads)
-    if idx2.size:
-        n_tails = sizes[0] - n_heads
+            stats["grad_evals"] += noise.shape[0] * idx1.size
+    if move is not None:
+        idx2 = np.flatnonzero(~heads)
         l2 = lev[idx2]
-        if params.proposal_mode == "neighbor":
-            flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
-            prop = l2 + np.where(flip < 0.5, -1, 1)
-        else:
-            prop = _per_block(rngs, n_tails, lambda g, c: g.integers(0, L, c))
-        u = _per_block(rngs, n_tails, lambda g, c: g.random(c))
+        prop = l2 + move if params.proposal_mode == "neighbor" else move
         # a proposal past either end of the ladder is rejected unseen, and
         # uniform mode's proposal of the current level is no level move
         on = np.flatnonzero((prop >= 0) & (prop < L) & (prop != l2))
         if on.size:
             rows, k, k_new = idx2[on], l2[on], prop[on]
             f_x = np.atleast_1d(target.f(x[rows]))
-            # 1 - U lies in (0, 1], keeping the log finite
-            acc = np.log(1.0 - u[on]) < _level_log_ratio(f_x, k, k_new, betas, log_zhat)
+            acc = log_u[on] < _level_log_ratio(f_x, k, k_new, betas, log_zhat)
             if stats is not None:
                 pair = k * L + k_new
                 stats["proposals"] += np.bincount(pair, minlength=L * L).reshape(L, L)
@@ -228,6 +260,52 @@ def _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats=None
             lev[rows[acc]] = k_new[acc]
             accepted[rows[acc]] = True
     return heads, accepted
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper(n_chains, d, params):
+    """A one-thread executor to draw steps ahead on, or a null context.
+
+    The helper runs only when a step of n_chains rows draws
+    ``_HELPER_DRAWS`` numbers or more on average (n coin flips, K d
+    normals per heads row and two numbers per tails row, half the rows
+    each), in a process that is not a pool worker and may use two CPUs:
+    below that size the GIL hand-offs cost about what the thread saves,
+    and pool workers already fill the CPUs.
+    """
+    # imported on use, so importing this module loads neither
+    import multiprocessing
+
+    if (n_chains * (2 + params.steps_per_macro * d / 2) < _HELPER_DRAWS
+            or multiprocessing.parent_process() is not None or _usable_cpus() < 2):
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
+
+
+def _steps(draw, t, pool):
+    """Yield ``draw()`` t times, drawing on ``pool``'s thread when given.
+
+    With a pool, step s + 1 is drawn while the caller applies step s,
+    and nothing is drawn past step t.
+    """
+    if pool is None:
+        for _ in range(t):
+            yield draw()
+        return
+    ahead = pool.submit(draw)
+    for step in range(t):
+        draws = ahead.result()
+        if step + 1 < t:
+            ahead = pool.submit(draw)
+        yield draws
 
 
 def run_tempering_batch(
@@ -257,7 +335,12 @@ def run_tempering_batch(
     its level-move rows. The arithmetic runs once on all rows, and each
     row's result does not depend on the other rows, so one call with k
     generators returns exactly the concatenated results (and the summed
-    stats) of k one-block calls.
+    stats) of k one-block calls. How many numbers a step draws depends
+    only on its coin flips, so when a step draws at least
+    ``_HELPER_DRAWS`` numbers on average, in a process that is not a
+    pool worker and may use two CPUs, a helper thread draws each next
+    step while the current one is applied, and ends with the call. The
+    results and the generators' final states are the same either way.
 
     Raises
     ------
@@ -275,13 +358,16 @@ def run_tempering_batch(
     L = betas.shape[0]
     if log_zhat.shape[0] != L:
         raise ValueError("log_zhat must match betas in length")
-    x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, target.d)))
+    d = target.d
+    x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, d)))
     x *= math.sqrt(target.sigma2 / betas[0])
     lev = np.zeros(n_chains, dtype=np.int64)
-    for step in range(params.t):
-        _chain_step(target, x, lev, betas, log_zhat, params, rngs, sizes, stats)
-        if stats is not None and step >= occupancy_burn_in:
-            stats["occupancy"] += np.bincount(lev, minlength=L)
+    draw = partial(_draw_step, rngs, sizes, d, L, params)
+    with _helper(n_chains, d, params) as pool:
+        for step, draws in enumerate(_steps(draw, params.t, pool)):
+            _apply_step(target, x, lev, betas, log_zhat, params, draws, stats)
+            if stats is not None and step >= occupancy_burn_in:
+                stats["occupancy"] += np.bincount(lev, minlength=L)
     if stats is not None:
         stats["chains"] += n_chains
     return x, lev
@@ -317,23 +403,25 @@ def run_stlmc(target, betas, log_zhat, params, rng):
     t, n, d = params.t, _TRACE_ROWS, target.d
     trace = []
     final_levels: dict[int, int] = {}
-    for _ in range(params.max_retries):
-        x = rng.standard_normal((n, d))
-        x *= math.sqrt(target.sigma2 / betas[0])
-        lev = np.zeros(n, dtype=np.int64)
-        moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
-        path = np.empty((t, n, d))
-        for step in range(t):
-            heads, accepted = _chain_step(target, x, lev, betas, log_zhat, params, [rng], [n])
-            moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
-            path[step] = x
-        top = np.flatnonzero(lev == len(betas) - 1)
-        rows = top[0] + 1 if top.size else n
-        trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
-        if top.size:
-            return x[top[0]], trace
-        for level, count in zip(*np.unique(lev + 1, return_counts=True)):
-            final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
+    draw = partial(_draw_step, [rng], [n], d, len(betas), params)
+    with _helper(n, d, params) as pool:
+        for _ in range(params.max_retries):
+            x = rng.standard_normal((n, d))
+            x *= math.sqrt(target.sigma2 / betas[0])
+            lev = np.zeros(n, dtype=np.int64)
+            moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
+            path = np.empty((t, n, d))
+            for step, draws in enumerate(_steps(draw, t, pool)):
+                heads, accepted = _apply_step(target, x, lev, betas, log_zhat, params, draws)
+                moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
+                path[step] = x
+            top = np.flatnonzero(lev == len(betas) - 1)
+            rows = top[0] + 1 if top.size else n
+            trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
+            if top.size:
+                return x[top[0]], trace
+            for level, count in zip(*np.unique(lev + 1, return_counts=True)):
+                final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
     raise RetriesExhaustedError(params.max_retries, final_levels)
 
 

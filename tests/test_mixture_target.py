@@ -315,3 +315,12 @@ def test_kernel_rows_do_not_depend_on_the_batch(n, d):
             np.testing.assert_array_equal(g_sub, g[sl])
             np.testing.assert_array_equal(mix.f(pts[sl]), f_only[sl])
             np.testing.assert_array_equal(mix.f_and_grad(pts[sl], value=False)[1], g[sl])
+
+
+def test_mixtures_compare_and_hash_by_identity():
+    # numpy fields made the generated __eq__ raise and __hash__ absent
+    a = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
+    b = GaussianMixture([0.5, 0.5], [[-3.0], [3.0]], 1.0)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2

@@ -1,6 +1,9 @@
 """Tests for ladder construction and the tempering chain's two move types."""
+import concurrent.futures
 import copy
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,10 +17,13 @@ from stlmc.mixture_target import (
     PerturbedTarget,
     SinusoidalPerturbation,
 )
+from stlmc import tempering_chain
 from stlmc.diagnostics import log_partition_quadrature
+from stlmc.partition_estimator import run_main_algorithm
 from stlmc.tempering_chain import (
     RunParams,
-    _chain_step,
+    _apply_step,
+    _draw_step,
     _level_log_ratio,
     make_ladder,
     merge_batch_stats,
@@ -523,7 +529,8 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
             prop = replay.integers(0, L, old.size)
         valid = (prop >= 0) & (prop < L) & (prop != old)
         np.add.at(want_prop, (old[valid], prop[valid]), 1)
-        _, accepted = _chain_step(cheap, x, lev, betas, lz, params, [rng], [n], stats)
+        draws = _draw_step([rng], [n], 1, L, params)
+        _, accepted = _apply_step(cheap, x, lev, betas, lz, params, draws, stats)
         np.add.at(want_acc, (before[accepted], lev[accepted]), 1)
     assert want_acc.sum() > 0
     np.testing.assert_array_equal(stats["proposals"], want_prop)
@@ -639,3 +646,103 @@ def test_engine_accounting_properties(case):
     for key in ("proposals", "accepts", "occupancy"):
         np.testing.assert_array_equal(stats[key], one[key])
     assert (stats["grad_evals"], stats["chains"]) == (one["grad_evals"], one["chains"])
+
+
+def _draw_threads(monkeypatch, helper):
+    """Force the helper thread on or off; return the idents of the threads that draw."""
+    monkeypatch.setattr(tempering_chain, "_HELPER_DRAWS", 0 if helper else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    idents = []
+    draw = tempering_chain._draw_step
+
+    def spy(*args):
+        idents.append(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(tempering_chain, "_draw_step", spy)
+    return idents
+
+
+def _both_paths(monkeypatch, run):
+    """``run()`` drawing inline, then on the helper thread."""
+    results = []
+    for helper in (False, True):
+        idents = _draw_threads(monkeypatch, helper)
+        results.append(run())
+        on_helper = {i != threading.get_ident() for i in idents}
+        assert on_helper == {helper}
+    return results
+
+
+_WIDE10 = GaussianMixture([0.2, 0.3, 0.5], np.eye(3, 10) * [[2.0], [-1.5], [1.0]], 1.0)
+
+
+@pytest.mark.parametrize("mode", ["neighbor", "uniform"])
+@pytest.mark.parametrize("blocks", [1, 3, 8])
+@pytest.mark.parametrize("target", ["desk", "d10"])
+def test_helper_thread_draws_are_bit_identical(monkeypatch, desk, mode, blocks, target):
+    target = desk if target == "desk" else _WIDE10
+    betas = make_ladder(target, c2=4.0)
+    lz = -0.2 * np.arange(len(betas))
+    params = RunParams(eta=0.1, T=0.5, t=30, proposal_mode=mode)
+
+    def run():
+        stats = new_batch_stats(len(betas))
+        rngs = [np.random.default_rng([7, b]) for b in range(blocks)]
+        x, lev = run_tempering_batch(target, betas, lz, 16 * blocks, params, rngs,
+                                     stats=stats, occupancy_burn_in=5)
+        return x, lev, stats, [g.bit_generator.state for g in rngs]
+
+    (x0, lev0, st0, ends0), (x1, lev1, st1, ends1) = _both_paths(monkeypatch, run)
+    assert ends1 == ends0  # nothing is drawn past the last step
+    np.testing.assert_array_equal(x1, x0)
+    np.testing.assert_array_equal(lev1, lev0)
+    assert st1.keys() == st0.keys()
+    for key in st0:
+        np.testing.assert_array_equal(st1[key], st0[key])
+    assert st0["proposals"].sum() > 0
+
+
+def test_helper_thread_trace_is_bit_identical(monkeypatch, cheap):
+    betas = make_ladder(cheap)
+    params = RunParams(eta=0.1, T=0.5, t=12)
+
+    def run():
+        return run_stlmc(cheap, betas, np.zeros(len(betas)), params,
+                         np.random.default_rng(5))
+
+    (sample0, trace0), (sample1, trace1) = _both_paths(monkeypatch, run)
+    np.testing.assert_array_equal(sample1, sample0)
+    assert trace1 == trace0
+    assert len(trace0) > 12  # more than one round ran
+
+
+def test_helper_thread_ends_with_the_engine_call(monkeypatch, cheap):
+    idents = _draw_threads(monkeypatch, helper=True)
+    before = threading.enumerate()
+    run_tempering_batch(cheap, make_ladder(cheap), np.zeros(4), 64,
+                        RunParams(eta=0.1, T=0.5, t=20), np.random.default_rng(0))
+    assert threading.enumerate() == before
+    # far from the modes the update multiplies x by 1 - eta beta / sigma2 = -4
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteGradientError):
+        run_tempering_batch(cheap, [1.0], [0.0], 8, RunParams(eta=5.0, T=50.0, t=200),
+                            np.random.default_rng(0))
+    assert threading.enumerate() == before
+    assert threading.get_ident() not in idents
+
+
+def test_pool_workers_draw_inline(monkeypatch, cheap):
+    # the pool forks after the patches, so its workers carry them
+    _draw_threads(monkeypatch, helper=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    params = RunParams(eta=0.1, T=0.5, t=30, m=20, seed=3)
+    with pytest.raises(AssertionError, match="helper thread"):
+        run_tempering_batch(cheap, [1.0], [0.0], 8, params, np.random.default_rng(0))
+    res = run_main_algorithm(cheap, params, n_samples=40, workers=2)
+    assert res.samples.shape == (40, 1)
