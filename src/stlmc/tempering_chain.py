@@ -13,18 +13,19 @@ beta = 1, so an accepted run ends at the true target temperature; only
 the trace file, the CLI summary and ``RetriesExhaustedError`` print
 them 1-based.
 
-One step, in two parts, advances rows of chains for both callers
-below: ``_draw_step`` takes the step's random numbers from the
-generators and ``_apply_step`` runs the moves on them. Within-level
-moves run ``RunParams.steps_per_macro`` updates through
-``langevin_kernel``'s update loop, the one ``run_macro_step`` also runs.
-What a step draws, and how much, depends only on its coin flips, never
-on the chains, so for wide steps (``_helper`` says which) a helper
-thread draws step s + 1 while the caller applies step s; numpy releases
-the GIL in its generator fills and large ufuncs. The helper only draws:
-target calls and ``stats`` stay on the calling thread, and each
-generator sees the same calls in the same order, so the results keep
-their bits. The thread ends before the call returns or raises.
+Both callers below run the chain as one walk, ``_walk``, which draws
+the rows' start points and then advances them one step at a time:
+``_draw_step`` takes a step's random numbers from the generators and
+``_apply_step`` runs the moves on them. Within-level moves run
+``RunParams.steps_per_macro`` updates through ``langevin_kernel``'s
+update loop, the one ``run_macro_step`` also runs. What a step draws,
+and how much, depends only on its coin flips, never on the chains, so
+for wide steps a helper thread draws step s + 1 while the walk applies
+step s; numpy releases the GIL in its generator fills and large ufuncs.
+The helper only draws: target calls and ``stats`` stay on the calling
+thread, and each generator sees the same calls in the same order, so
+the results keep their bits. The thread ends with the walk, before
+either caller returns or raises.
 
 ``run_tempering_batch`` advances many independent replicas at once,
 gathering the rows that drew a within-level move so the gradient loop
@@ -32,8 +33,8 @@ only touches active chains. Its rows may form several blocks, each
 drawing from its own generator: the arithmetic runs once on all rows,
 and each block's results are the same as if it ran alone, so callers
 choose the width of a call apart from how its randomness is split.
-``run_stlmc`` runs restarting attempts in rounds, as the rows of such
-a batch, and records the trace of the chain that reaches the top.
+``run_stlmc`` runs restarting attempts in rounds, one walk a round,
+and records the trace of the chain that reaches the top.
 Every run option comes from ``RunParams``, and a ladder is the plain
 array of its inverse temperatures, from ``make_ladder`` through both
 callers.
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -67,7 +67,7 @@ _MAX_LEVELS = 10_000
 # attempts per round of run_stlmc; params.max_retries rounds run at most
 _TRACE_ROWS = 100
 # a step that draws this many numbers on average is drawn ahead on a helper
-# thread (see _helper)
+# thread (see _walk)
 _HELPER_DRAWS = 2**15
 
 
@@ -190,19 +190,20 @@ def _level_log_ratio(f_x, k, k_prime, betas, log_zhat):
     return (betas[k] - betas[k_prime]) * f_x + log_zhat[k] - log_zhat[k_prime]
 
 
-def _draw_step(rngs, sizes, d, L, params):
-    """Draw one step's random numbers for rows in blocks of ``sizes`` rows.
+def _draw_step(rngs, n, d, L, params):
+    """Draw one step's random numbers for blocks of n rows, one per generator.
 
     Block b draws from ``rngs[b]`` in the order ``run_tempering_batch``
     documents. How many numbers that is depends only on the coin flips,
     never on the chains, so a step can be drawn before the previous one
     is applied. Returns ``(heads, noise, move, log_u)``: the within-level
-    row mask; the (K, d, h) Langevin noise of the heads rows, scaled by
-    sqrt(2 eta); and for the tails rows the neighbour direction (+-1) or
-    the uniform proposal, and log(1 - U) of the acceptance uniforms.
+    row mask; the C-ordered (K, d, h) Langevin noise of the heads rows,
+    scaled by sqrt(2 eta); and for the tails rows the neighbour direction
+    (+-1) or the uniform proposal, and log(1 - U) of the acceptance
+    uniforms.
     """
     K = params.steps_per_macro
-    heads = _per_block(rngs, sizes, lambda g, c: g.random(c)) < 0.5
+    heads = np.concatenate([g.random(n) for g in rngs]) < 0.5
     n_heads = np.count_nonzero(heads.reshape(len(rngs), -1), axis=1)
     noise = move = log_u = None
     if n_heads.sum():
@@ -212,8 +213,10 @@ def _draw_step(rngs, sizes, d, L, params):
             [g.standard_normal((K, h, d)) for g, h in zip(rngs, n_heads)], axis=1
         )
         noise *= math.sqrt(2.0 * params.eta)
-        noise = noise.transpose(0, 2, 1)
-    n_tails = sizes[0] - n_heads
+        # a C-ordered copy (none at d = 1), made here so that it runs on the
+        # helper thread, makes the updates' noise adds contiguous
+        noise = np.ascontiguousarray(noise.transpose(0, 2, 1))
+    n_tails = n - n_heads
     if n_tails.sum():
         if params.proposal_mode == "neighbor":
             flip = _per_block(rngs, n_tails, lambda g, c: g.random(c))
@@ -269,43 +272,54 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _helper(n_chains, d, params):
-    """A one-thread executor to draw steps ahead on, or a null context.
+def _ladder(betas, log_zhat):
+    """``betas`` and ``log_zhat`` as float arrays of one entry per ladder level."""
+    betas = np.asarray(betas, dtype=float)
+    log_zhat = np.asarray(log_zhat, dtype=float)
+    if log_zhat.shape != betas.shape:
+        raise ValueError("log_zhat must provide one entry per ladder level")
+    return betas, log_zhat
 
-    The helper runs only when a step of n_chains rows draws
-    ``_HELPER_DRAWS`` numbers or more on average (n coin flips, K d
-    normals per heads row and two numbers per tails row, half the rows
-    each), in a process that is not a pool worker and may use two CPUs:
-    below that size the GIL hand-offs cost about what the thread saves,
-    and pool workers already fill the CPUs.
+
+def _walk(target, betas, log_zhat, rngs, n, params, stats=None):
+    """Start blocks of n chains and run them for params.t steps, yielding after each.
+
+    Block b's rows ``[b * n, (b + 1) * n)`` start at level 0 from n
+    points of ``N(0, (sigma2 / beta_1) I)`` drawn from ``rngs[b]``, which
+    then gives each step's numbers (``_draw_step``). Each yield is
+    ``(x, lev, heads, accepted)``: the rows, updated in place, and
+    ``_apply_step``'s two row masks; ``stats`` takes the step counts.
+    A step that draws ``_HELPER_DRAWS`` numbers or more on average (a
+    coin flip per row, K d normals per heads row and two numbers per
+    tails row, half the rows each), in a process that is not a pool
+    worker and may use two CPUs, is drawn on a helper thread while the
+    step before it is applied: below that size the GIL hand-offs cost
+    about what the thread saves, and pool workers already fill the CPUs.
+    Nothing is drawn past step t, and the thread ends with the walk,
+    whether it finishes or raises.
     """
     # imported on use, so importing this module loads neither
     import multiprocessing
 
-    if (n_chains * (2 + params.steps_per_macro * d / 2) < _HELPER_DRAWS
+    d, t = target.d, params.t
+    x = np.concatenate([g.standard_normal((n, d)) for g in rngs])
+    x *= math.sqrt(target.sigma2 / betas[0])
+    lev = np.zeros(x.shape[0], dtype=np.int64)
+    draw = partial(_draw_step, rngs, n, d, betas.shape[0], params)
+    if (x.shape[0] * (2 + params.steps_per_macro * d / 2) < _HELPER_DRAWS
             or multiprocessing.parent_process() is not None or _usable_cpus() < 2):
-        return nullcontext()
+        for _ in range(t):
+            yield x, lev, *_apply_step(target, x, lev, betas, log_zhat, params, draw(), stats)
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=1)
-
-
-def _steps(draw, t, pool):
-    """Yield ``draw()`` t times, drawing on ``pool``'s thread when given.
-
-    With a pool, step s + 1 is drawn while the caller applies step s,
-    and nothing is drawn past step t.
-    """
-    if pool is None:
-        for _ in range(t):
-            yield draw()
-        return
-    ahead = pool.submit(draw)
-    for step in range(t):
-        draws = ahead.result()
-        if step + 1 < t:
-            ahead = pool.submit(draw)
-        yield draws
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw)
+        for step in range(t):
+            draws = ahead.result()
+            if step + 1 < t:
+                ahead = pool.submit(draw)
+            yield x, lev, *_apply_step(target, x, lev, betas, log_zhat, params, draws, stats)
 
 
 def run_tempering_batch(
@@ -329,18 +343,16 @@ def run_tempering_batch(
 
     ``rng`` is one Generator or a sequence of k per-block generators.
     Block b owns rows ``[b * n, (b + 1) * n)`` with ``n = n_chains / k``
-    and draws all of its randomness from its own generator, in the same
-    order each step: the n coin flips, the Langevin noise of its
-    within-level rows, then the proposals and the acceptance uniforms of
-    its level-move rows. The arithmetic runs once on all rows, and each
-    row's result does not depend on the other rows, so one call with k
-    generators returns exactly the concatenated results (and the summed
-    stats) of k one-block calls. How many numbers a step draws depends
-    only on its coin flips, so when a step draws at least
-    ``_HELPER_DRAWS`` numbers on average, in a process that is not a
-    pool worker and may use two CPUs, a helper thread draws each next
-    step while the current one is applied, and ends with the call. The
-    results and the generators' final states are the same either way.
+    and draws all of its randomness from its own generator: its start
+    points, then in the same order each step the n coin flips, the
+    Langevin noise of its within-level rows, then the proposals and the
+    acceptance uniforms of its level-move rows. The arithmetic runs once
+    on all rows, and each row's result does not depend on the other
+    rows, so one call with k generators returns exactly the concatenated
+    results (and the summed stats) of k one-block calls. The rows run
+    as one ``_walk``, so a wide call draws each next step on a helper
+    thread while the current one is applied; the results and the
+    generators' final states are the same either way.
 
     Raises
     ------
@@ -352,22 +364,11 @@ def run_tempering_batch(
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
     if not rngs or n_chains % len(rngs):
         raise ValueError("n_chains must split evenly over the block generators")
-    sizes = [n_chains // len(rngs)] * len(rngs)
-    betas = np.asarray(betas, dtype=float)
-    log_zhat = np.asarray(log_zhat, dtype=float)
-    L = betas.shape[0]
-    if log_zhat.shape[0] != L:
-        raise ValueError("log_zhat must match betas in length")
-    d = target.d
-    x = _per_block(rngs, sizes, lambda g, c: g.standard_normal((c, d)))
-    x *= math.sqrt(target.sigma2 / betas[0])
-    lev = np.zeros(n_chains, dtype=np.int64)
-    draw = partial(_draw_step, rngs, sizes, d, L, params)
-    with _helper(n_chains, d, params) as pool:
-        for step, draws in enumerate(_steps(draw, params.t, pool)):
-            _apply_step(target, x, lev, betas, log_zhat, params, draws, stats)
-            if stats is not None and step >= occupancy_burn_in:
-                stats["occupancy"] += np.bincount(lev, minlength=L)
+    betas, log_zhat = _ladder(betas, log_zhat)
+    walk = _walk(target, betas, log_zhat, rngs, n_chains // len(rngs), params, stats)
+    for step, (x, lev, _, _) in enumerate(walk):
+        if stats is not None and step >= occupancy_burn_in:
+            stats["occupancy"] += np.bincount(lev, minlength=betas.shape[0])
     if stats is not None:
         stats["chains"] += n_chains
     return x, lev
@@ -379,10 +380,10 @@ def run_stlmc(target, betas, log_zhat, params, rng):
     Each attempt starts at level 1 from ``N(0, (sigma2 / beta_1) I)``
     and runs ``params.t`` steps; the sample is the endpoint of the first
     attempt that ends at the top level. The attempts run in rounds of
-    ``_TRACE_ROWS``, each round the rows of one engine batch drawing
-    from ``rng``, for at most ``params.max_retries`` rounds, and the
-    first row in row order that ends at the top is returned. Attempts
-    are i.i.d., so this has the law of retrying one attempt at a time.
+    ``_TRACE_ROWS``, each round the rows of one ``_walk`` drawing from
+    ``rng``, for at most ``params.max_retries`` rounds, and the first
+    row in row order that ends at the top is returned. Attempts are
+    i.i.d., so this has the law of retrying one attempt at a time.
     The trace lists one row per step of that attempt and of every
     attempt before it: (step, level, move_type, accepted, x...), with
     steps numbered 1, 2, ... across attempts, levels 1-based, move type
@@ -396,32 +397,24 @@ def run_stlmc(target, betas, log_zhat, params, rng):
         the round count and a histogram of 1-based final levels.
     """
     check_step_size(params.eta, target)
-    betas = np.asarray(betas, dtype=float)
-    log_zhat = np.asarray(log_zhat, dtype=float)
-    if log_zhat.shape != betas.shape:
-        raise ValueError("log_zhat must provide one entry per ladder level")
+    betas, log_zhat = _ladder(betas, log_zhat)
     t, n, d = params.t, _TRACE_ROWS, target.d
     trace = []
     final_levels: dict[int, int] = {}
-    draw = partial(_draw_step, [rng], [n], d, len(betas), params)
-    with _helper(n, d, params) as pool:
-        for _ in range(params.max_retries):
-            x = rng.standard_normal((n, d))
-            x *= math.sqrt(target.sigma2 / betas[0])
-            lev = np.zeros(n, dtype=np.int64)
-            moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
-            path = np.empty((t, n, d))
-            for step, draws in enumerate(_steps(draw, t, pool)):
-                heads, accepted = _apply_step(target, x, lev, betas, log_zhat, params, draws)
-                moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
-                path[step] = x
-            top = np.flatnonzero(lev == len(betas) - 1)
-            rows = top[0] + 1 if top.size else n
-            trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
-            if top.size:
-                return x[top[0]], trace
-            for level, count in zip(*np.unique(lev + 1, return_counts=True)):
-                final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
+    for _ in range(params.max_retries):
+        moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
+        path = np.empty((t, n, d))
+        walk = _walk(target, betas, log_zhat, [rng], n, params)
+        for step, (x, lev, heads, accepted) in enumerate(walk):
+            moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
+            path[step] = x
+        top = np.flatnonzero(lev == len(betas) - 1)
+        rows = top[0] + 1 if top.size else n
+        trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
+        if top.size:
+            return x[top[0]], trace
+        for level, count in zip(*np.unique(lev + 1, return_counts=True)):
+            final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
     raise RetriesExhaustedError(params.max_retries, final_levels)
 
 

@@ -27,6 +27,11 @@ PERTURBED_DESK = {"weights": [0.5, 0.5], "means": [[-3.0], [3.0]], "sigma2": 1.0
                   "perturbation": {"amplitude": 0.2, "scale": 1.0}}
 FOUR = {"weights": [0.25] * 4, "sigma2": 1.0,
         "means": [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]]}
+# eight modes at +-2 on the first four axes of R^10; its last stages run one
+# engine call wide enough for the helper thread
+WIDE = {"weights": [0.125] * 8, "sigma2": 1.0,
+        "means": [[2.0 * s if j == k else 0.0 for j in range(10)]
+                  for k in range(4) for s in (-1.0, 1.0)]}
 RUN = {"eta": 0.1, "T": 0.5, "t": 40, "m": 10, "seed": 7}
 
 # case name: (command-line arguments, target section, run section overrides)
@@ -39,6 +44,7 @@ CASES = {
                             {"t": 80}),
     "sample-four": (["sample", "--bins", "20"], FOUR, {"t": 100, "c2": 2.0}),
     "sample-uniform": (["sample", "--trace", "--proposal-mode", "uniform"], CHEAP, {}),
+    "sample-wide": (["sample", "--n-samples", "100"], WIDE, {"c2": 4.0}),
     "estimate-z": (["estimate-z"], CHEAP, {}),
     "compare": (["compare", "--n-samples", "20"], CHEAP, {}),
     "analyze": (["analyze", "--cells", "20"], FOUR, {}),
@@ -99,6 +105,12 @@ DIGESTS = {
         "stdout": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
         "summary.txt": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
         "trace.csv": "8460faad92ccd5cd0b2675fcb1eec5e7928dc1db03392d064dd8ddd6109686be",
+    },
+    "sample-wide": {
+        "estimates.json": "c936938da11bfd04778e3b096b0215ad5b462602a5c3122dcc7ef807a07cb623",
+        "samples.csv": "bd292317f623826ee7b1afb73054f1a29e6395441563b7942ca1517c68884fbf",
+        "stdout": "ac410370c7757815ce2fe41bd9be2334f5a863e1a98a730b1382cd67cfc720c8",
+        "summary.txt": "ac410370c7757815ce2fe41bd9be2334f5a863e1a98a730b1382cd67cfc720c8",
     },
     "verify-diagnostics": {
         "stdout": "f5eed8bd6568420fa4706c27856d02aa813a28b219656548c940f3da9ac1b537",

@@ -4,6 +4,7 @@ import copy
 import math
 import os
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -253,11 +254,14 @@ def test_run_stlmc_budget_counts_rounds(desk):
     np.testing.assert_array_equal(x, trace[-1][4:])
 
 
-def test_run_stlmc_validates_log_zhat_length(desk):
-    betas = make_ladder(desk)
+@pytest.mark.parametrize("driver", ["run_stlmc", "run_tempering_batch"])
+def test_drivers_validate_log_zhat_length(desk, driver):
+    args = (desk, make_ladder(desk), np.zeros(3))
+    if driver == "run_tempering_batch":
+        args += (4,)  # n_chains
     params = RunParams(eta=0.1, T=0.5, t=5)
     with pytest.raises(ValueError, match="one entry per ladder level"):
-        run_stlmc(desk, betas, np.zeros(3), params, np.random.default_rng(0))
+        getattr(tempering_chain, driver)(*args, params, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("batch_rows", [512, 2])
@@ -529,7 +533,7 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
             prop = replay.integers(0, L, old.size)
         valid = (prop >= 0) & (prop < L) & (prop != old)
         np.add.at(want_prop, (old[valid], prop[valid]), 1)
-        draws = _draw_step([rng], [n], 1, L, params)
+        draws = _draw_step([rng], n, 1, L, params)
         _, accepted = _apply_step(cheap, x, lev, betas, lz, params, draws, stats)
         np.add.at(want_acc, (before[accepted], lev[accepted]), 1)
     assert want_acc.sum() > 0
@@ -720,15 +724,27 @@ def test_helper_thread_trace_is_bit_identical(monkeypatch, cheap):
 
 def test_helper_thread_ends_with_the_engine_call(monkeypatch, cheap):
     idents = _draw_threads(monkeypatch, helper=True)
+    # lets run_stlmc take the diverging step size below
+    monkeypatch.setattr(tempering_chain, "check_step_size", lambda eta, target: None)
     before = threading.enumerate()
-    run_tempering_batch(cheap, make_ladder(cheap), np.zeros(4), 64,
-                        RunParams(eta=0.1, T=0.5, t=20), np.random.default_rng(0))
+    params = RunParams(eta=0.1, T=0.5, t=20)
+    run_tempering_batch(cheap, make_ladder(cheap), np.zeros(4), 64, params,
+                        np.random.default_rng(0))
+    assert threading.enumerate() == before
+    run_stlmc(cheap, make_ladder(cheap), np.zeros(4), params, np.random.default_rng(0))
     assert threading.enumerate() == before
     # far from the modes the update multiplies x by 1 - eta beta / sigma2 = -4
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFiniteGradientError):
-        run_tempering_batch(cheap, [1.0], [0.0], 8, RunParams(eta=5.0, T=50.0, t=200),
-                            np.random.default_rng(0))
+    diverge = RunParams(eta=5.0, T=50.0, t=200)
+    for run in (partial(run_tempering_batch, cheap, [1.0], [0.0], 8),
+                partial(run_stlmc, cheap, [1.0], [0.0])):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteGradientError):
+            run(diverge, np.random.default_rng(0))
+        assert threading.enumerate() == before
+    # a top-level normalizer 60 nats high keeps every attempt below the top
+    with pytest.raises(RetriesExhaustedError):
+        run_stlmc(cheap, [0.5, 1.0], [0.0, 60.0], RunParams(eta=0.1, T=0.5, t=10, max_retries=1),
+                  np.random.default_rng(0))
     assert threading.enumerate() == before
     assert threading.get_ident() not in idents
 
