@@ -18,16 +18,20 @@ bounds ``delta``, ``tau`` and ``curvature``, which are 0 for a mixture.
 A ``PerturbedTarget`` copies the geometry from its base.
 
 Each target class has one energy kernel, ``_energy``, and one gradient
-kernel, ``_grad``, both on checked (m, d) points. The mixture's energy
-takes the logsumexp by logaddexp; its gradient ``(x - sum_i resp_i mu_i) /
-sigma2`` comes from a max-subtracted softmax of the same logits. ``f``,
-``grad`` and ``f_and_grad`` are shells over the kernels that share one
-input path (``_evaluate``), so ``f_and_grad(x)[0]`` has the bits of
-``f(x)`` and ``grad(x)`` those of ``f_and_grad(x)[1]``. The Langevin
-kernel needs only the gradient and calls ``f_and_grad(x, value=False)``,
-which runs no energy kernel. Each row's result is computed the same way
-whatever the batch size, so a point's energy and gradient do not depend
-on the rows evaluated with it.
+kernel, ``_grad``, both on checked (m, d) points. The mixture's kernels
+share one contraction, ``_padded_logits``: it copies the points into the
+columns of a (d, w) array whose width w is m padded with zero columns to
+a multiple of ``_PAD``, and takes the logits of every column with one
+matrix product. Every column then goes down the same BLAS path, so a
+row's bits do not depend on the rows evaluated with it, on its memory
+layout or on the number of BLAS threads. The energy takes the logsumexp
+by a max shift; the gradient ``(x - sum_i resp_i mu_i) / sigma2`` comes
+from a max-subtracted softmax of the same logits, back-projected onto the
+means by a second matrix product. ``f``, ``grad`` and ``f_and_grad`` are
+shells over the kernels that share one input path (``_evaluate``), so
+``f_and_grad(x)[0]`` has the bits of ``f(x)`` and ``grad(x)`` those of
+``f_and_grad(x)[1]``. The Langevin kernel needs only the gradient and
+calls ``f_and_grad(x, value=False)``, which runs no energy kernel.
 """
 from __future__ import annotations
 
@@ -48,6 +52,13 @@ __all__ = [
     "check_perturbation_bounds",
     "target_from_config",
 ]
+
+# The kernels pad their column width with zero columns to a multiple of
+# this. Every column of a matrix product then takes the same path through
+# BLAS; at other widths the last columns, or all of them at width 1, can
+# take an edge path whose sums round differently. The sums over
+# components, across at least two columns, add the rows in order.
+_PAD = 64
 
 
 def _as_points(x, d):
@@ -88,9 +99,7 @@ def _evaluate(target, x, value, grad):
     """
     pts, single = _as_points(x, target.d)
     _check_finite(pts)
-    # the energy's sums over coordinates add in memory order, so C-ordered
-    # rows keep its bits whatever the layout of x
-    fv = target._energy(np.ascontiguousarray(pts)) if value else None
+    fv = target._energy(pts) if value else None
     g = target._grad(pts) if grad else None
     if single:
         return (None if fv is None else float(fv[0])), (None if g is None else g[0])
@@ -162,11 +171,23 @@ class GaussianMixture:
         object.__setattr__(self, "_mu_scaled", mu_scaled)
         object.__setattr__(self, "_a_shift", shift[:, None])
 
-    def _logits(self, pts):
-        """(n, m) logits a_i of the (m, d) points; see the module docstring."""
-        a = np.einsum("nd,md->nm", self._mu_scaled, pts)
+    def _padded_logits(self, pts):
+        """The (m, d) points as (d, w) zero-padded columns, and their (n, w) logits a_i.
+
+        Columns from m on are zero; see the module docstring for a_i.
+        """
+        m = pts.shape[0]
+        xt = np.zeros((self.d, -(-m // _PAD) * _PAD))
+        xt[:, :m] = pts.T
+        # at d = 1 the outer product has the bits of a one-deep matrix
+        # product and takes a fraction of its time
+        a = self._mu_scaled * xt if self.d == 1 else self._mu_scaled @ xt
         a += self._a_shift
-        return a
+        return xt, a
+
+    def _logits(self, pts):
+        """(n, m) logits a_i of the (m, d) points."""
+        return self._padded_logits(pts)[1][:, :pts.shape[0]]
 
     def f(self, x):
         """Energy f(x); float for a single point, (m,) array for a batch."""
@@ -185,31 +206,32 @@ class GaussianMixture:
         return _evaluate(self, x, value, True)
 
     def _energy(self, pts):
-        # one logaddexp pass takes the fewest numpy calls for single
-        # points, and it adds in component order for any m
-        return (np.einsum("md,md->m", pts, pts) / (2.0 * self.sigma2)
-                - np.logaddexp.reduce(self._logits(pts), axis=0))
+        xt, a = self._padded_logits(pts)
+        q = np.einsum("dw,dw->w", xt, xt)
+        q /= 2.0 * self.sigma2
+        q -= _logsumexp(a)
+        return q[:pts.shape[0]]
 
     def _grad(self, pts):
-        # Work in the (d, m) layout so that einsum and the sums over
-        # components run over rows innermost, which is fast and adds in the
-        # same order for every row. The layout costs no copy when pts is the
-        # transpose of a (d, m) array, as the engine passes it, so the
-        # gradient goes into a new array and pts is never written. A lone
-        # row would drop that axis and switch both to another summation
-        # order, so it is doubled.
-        m = pts.shape[0]
-        xt = np.ascontiguousarray(pts.T)
-        if m == 1:
-            xt = np.repeat(xt, 2, axis=1)
-        e = np.einsum("nd,dm->nm", self._mu_scaled, xt)
-        e += self._a_shift
+        xt, e = self._padded_logits(pts)
         e -= e.max(axis=0)
         np.exp(e, out=e)
         e /= e.sum(axis=0)
-        g = xt - np.einsum("nm,nd->dm", e, self.means)
+        g = self.means.T @ e
+        np.subtract(xt, g, out=g)
         g /= self.sigma2
-        return g.T[:m]
+        return g[:, :pts.shape[0]].T
+
+
+def _logsumexp(a):
+    """log sum_i exp(a_i) over axis 0 of the padded (n, w) logits a, which it overwrites."""
+    top = a.max(axis=0)
+    a -= top
+    np.exp(a, out=a)
+    s = a.sum(axis=0)
+    np.log(s, out=s)
+    s += top
+    return s
 
 
 @dataclass(frozen=True)
@@ -366,13 +388,13 @@ def close_to_sum_ratio(mixture: GaussianMixture, beta, x):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
     pts, single = _as_points(x, mixture.d)
     _check_finite(pts)
-    a = mixture._logits(np.ascontiguousarray(pts))
+    a = mixture._padded_logits(pts)[1]
     # with q = ||x||^2 / (2 sigma2), -beta f = beta logsumexp_i a_i - beta q and
     # log gtilde_beta = logsumexp_i(log w_i + beta (a_i - log w_i)) - beta q
     log_w = np.log(mixture.weights)[:, None]
-    log_ratio = (beta * np.logaddexp.reduce(a, axis=0)
-                 - np.logaddexp.reduce(log_w + beta * (a - log_w), axis=0))
-    out = np.exp(log_ratio)
+    log_ratio = -_logsumexp(log_w + beta * (a - log_w))
+    log_ratio += beta * _logsumexp(a)
+    out = np.exp(log_ratio[:pts.shape[0]])
     return float(out[0]) if single else out
 
 

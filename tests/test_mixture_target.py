@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stlmc import mixture_target
 from stlmc.errors import NonConvergenceError
 from stlmc.mixture_target import (
     GaussianMixture,
@@ -298,23 +299,70 @@ def test_kernel_matches_difference_formula():
     np.testing.assert_allclose(pert.f(pts), ref_f, rtol=1e-12, atol=1e-12)
 
 
+def _einsum_f_grad(mix, pts):
+    """The energy and gradient by einsum contractions and a logaddexp reduction.
+
+    These are the kernels' formulas before their matrix products and max
+    shift, so the two differ only by the order and fusing of roundings.
+    Also returns ||x||^2 / (2 sigma2) and max_i |a_i|, the sizes of the
+    terms the energy subtracts.
+    """
+    s2 = mix.sigma2
+    a = np.einsum("nd,md->nm", mix.means / s2, pts)
+    a += (np.log(mix.weights) - np.einsum("nd,nd->n", mix.means, mix.means) / (2.0 * s2))[:, None]
+    q = np.einsum("md,md->m", pts, pts) / (2.0 * s2)
+    e = np.exp(a - a.max(axis=0))
+    e /= e.sum(axis=0)
+    g = (pts - np.einsum("nm,nd->md", e, mix.means)) / s2
+    return q - np.logaddexp.reduce(a, axis=0), g, q, np.abs(a).max(axis=0)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (8, 1), (3, 4), (8, 10)])
+def test_kernel_moves_only_by_rounding_from_the_einsum_formulas(n, d):
+    # the matrix products and the max-shift logsumexp change the bits of
+    # the energy and gradient, but by rounding only: the energy by a few
+    # ulp of the terms it subtracts, the gradient by 1e-12 relative or by
+    # a few ulp of x and the means it is the difference of, which matters
+    # in rows where the two cancel
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(60 + 10 * n + d)
+    mix = _generic_mixture(n, d, 61 + 10 * n + d)
+    near = rng.uniform(-10.0, 10.0, size=(700, d))
+    # far out one component takes all the weight
+    far = mix.means[rng.integers(n, size=700)] + rng.uniform(-1e3, 1e3, size=(700, d))
+    for pts in (near, far, mix.means.copy(), near[:1]):
+        ref_f, ref_g, q, a_max = _einsum_f_grad(mix, pts)
+        got = [mix.f_and_grad(pts)]
+        if len(pts) == 1:
+            fv, g = mix.f_and_grad(pts[0])
+            got.append((np.array([fv]), g[None, :]))
+        for fv, g in got:
+            assert np.all(np.abs(fv - ref_f) <= 4.0 * eps * (q + a_max))
+            scale = (np.linalg.norm(pts, axis=1, keepdims=True) + mix.D) / mix.sigma2
+            assert np.all(np.abs(g - ref_g) <= 1e-12 * np.abs(ref_g) + 16.0 * eps * scale)
+
+
 @pytest.mark.parametrize("n,d", [(1, 5), (2, 1), (8, 1), (3, 4), (8, 10)])
 def test_kernel_rows_do_not_depend_on_the_batch(n, d):
     # the sampler evaluates a point together with different rows depending
     # on how its blocks are grouped, so each row must come out bit for bit
-    # the same on its own and in any batch
+    # the same on its own and in any batch, on either side of a multiple
+    # of the padded width and at any offset
     mix = _generic_mixture(n, d, 44 + n + d)
-    pts = np.random.default_rng(45).uniform(-50.0, 50.0, size=(300, d))
+    pts = np.random.default_rng(45).uniform(-50.0, 50.0, size=(1100, d))
     fv, g = mix.f_and_grad(pts)
     f_only = mix.f(pts)
+    ratio = close_to_sum_ratio(mix, 0.3, pts)
+    w = mixture_target._PAD
     for start in range(0, 40):
-        for rows in (1, 2, 3, 9):
+        for rows in (1, 2, 3, 9, w - 1, w, w + 1, 2 * w + 1, 1000):
             sl = slice(start, start + rows)
             fv_sub, g_sub = mix.f_and_grad(pts[sl])
             np.testing.assert_array_equal(fv_sub, fv[sl])
             np.testing.assert_array_equal(g_sub, g[sl])
             np.testing.assert_array_equal(mix.f(pts[sl]), f_only[sl])
             np.testing.assert_array_equal(mix.f_and_grad(pts[sl], value=False)[1], g[sl])
+            np.testing.assert_array_equal(close_to_sum_ratio(mix, 0.3, pts[sl]), ratio[sl])
 
 
 def test_mixtures_compare_and_hash_by_identity():

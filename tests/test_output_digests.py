@@ -53,8 +53,8 @@ CASES = {
 
 DIGESTS = {
     "analyze": {
-        "analyze.txt": "cc55e91a6906e4c718ee30feba34e69c6ce89bfb1c8cd08d515c77f9ff2db084",
-        "stdout": "cc55e91a6906e4c718ee30feba34e69c6ce89bfb1c8cd08d515c77f9ff2db084",
+        "analyze.txt": "9c7e231b8c272b09a24448802b6ab8e3828bde9a55fe52fbd94124a3fca068ed",
+        "stdout": "9c7e231b8c272b09a24448802b6ab8e3828bde9a55fe52fbd94124a3fca068ed",
     },
     "compare": {
         "compare.txt": "f9ff91e52c2ca316f12faf5cdf26e6595682aa59c8aa0513f0bb8a9df4949673",
@@ -62,19 +62,19 @@ DIGESTS = {
     },
     "estimate-z": {
         "estimate_z.txt": "a4e7d94508f6f423feab6ff644117a1e640f89a1eff3c839916ebca073ce6cdf",
-        "estimates.json": "bfdd47659101a66d94a1d12808576ae07caf6273d99ef75f6cd03f8b57a4ef86",
+        "estimates.json": "7bef6a24daea0089af02436394b6d80bc2de9fa8d145f12d991381c2481d11fc",
         "stdout": "a4e7d94508f6f423feab6ff644117a1e640f89a1eff3c839916ebca073ce6cdf",
     },
     "sample-cheap-w1": {
-        "estimates.json": "bfdd47659101a66d94a1d12808576ae07caf6273d99ef75f6cd03f8b57a4ef86",
-        "samples.csv": "9bfa6b4609533b47fe906af410113714c70af6914bdf8edebb79ff8a6cd3bd5f",
+        "estimates.json": "7bef6a24daea0089af02436394b6d80bc2de9fa8d145f12d991381c2481d11fc",
+        "samples.csv": "77b9a98ba454c71cbadef0aad70b4a254dd5bd2f70629f107814a32768fe676d",
         "stdout": "bae52365115ea6b6e38535f04e7da4265d25143acdb88495ab4ed5effedd0e5e",
         "summary.txt": "bae52365115ea6b6e38535f04e7da4265d25143acdb88495ab4ed5effedd0e5e",
         "trace.csv": "0a172dae3c4bf2f206cb679ec1eb155b052a2eef6dc7080f4489fcb1e12744ad",
     },
     "sample-cheap-w2": {
-        "estimates.json": "bfdd47659101a66d94a1d12808576ae07caf6273d99ef75f6cd03f8b57a4ef86",
-        "samples.csv": "9bfa6b4609533b47fe906af410113714c70af6914bdf8edebb79ff8a6cd3bd5f",
+        "estimates.json": "7bef6a24daea0089af02436394b6d80bc2de9fa8d145f12d991381c2481d11fc",
+        "samples.csv": "77b9a98ba454c71cbadef0aad70b4a254dd5bd2f70629f107814a32768fe676d",
         "stdout": "0bd1f9454af3683b39a2380e8895c344d3d37ea044250f92046b15f5d29c2382",
         "summary.txt": "0bd1f9454af3683b39a2380e8895c344d3d37ea044250f92046b15f5d29c2382",
         "trace.csv": "0a172dae3c4bf2f206cb679ec1eb155b052a2eef6dc7080f4489fcb1e12744ad",
@@ -86,28 +86,28 @@ DIGESTS = {
         "summary.txt": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
     },
     "sample-perturbed-w1": {
-        "estimates.json": "949535868c4e87ca13010c2aff6205e0aa1c99268707047fb63661279adb0ce1",
-        "samples.csv": "0622567fbc49a80d3841788e06793f1ab6f6a3aba4d94105eda169a40ed7ee5d",
+        "estimates.json": "24f1b280c478c5f142313d20b8740a2ca5654cad4a2348ac3ede182fc4ba56c7",
+        "samples.csv": "c225c1d106e1705e2e0c7f68367125f96f5a1c1569b64246960110f5923bdaa3",
         "stdout": "a9e624be97a8985e8922c92b7b7f0416b0d1e2c17eac96f4fc9b9229f8a6987a",
         "summary.txt": "a9e624be97a8985e8922c92b7b7f0416b0d1e2c17eac96f4fc9b9229f8a6987a",
-        "trace.csv": "beef1ed2ae75ae29b517008fad27fcd1c1607585af82090fd43ee7093841c740",
+        "trace.csv": "782de5e0c30dddb6be25aa21f751f2e1edcbf31840de805a57835573d8144da7",
     },
     "sample-perturbed-w2": {
-        "estimates.json": "949535868c4e87ca13010c2aff6205e0aa1c99268707047fb63661279adb0ce1",
-        "samples.csv": "0622567fbc49a80d3841788e06793f1ab6f6a3aba4d94105eda169a40ed7ee5d",
+        "estimates.json": "24f1b280c478c5f142313d20b8740a2ca5654cad4a2348ac3ede182fc4ba56c7",
+        "samples.csv": "c225c1d106e1705e2e0c7f68367125f96f5a1c1569b64246960110f5923bdaa3",
         "stdout": "81a61a165edfc621beea4772a62d5fdb55bc01f65f7e8cf14744823ab7772648",
         "summary.txt": "81a61a165edfc621beea4772a62d5fdb55bc01f65f7e8cf14744823ab7772648",
-        "trace.csv": "beef1ed2ae75ae29b517008fad27fcd1c1607585af82090fd43ee7093841c740",
+        "trace.csv": "782de5e0c30dddb6be25aa21f751f2e1edcbf31840de805a57835573d8144da7",
     },
     "sample-uniform": {
         "estimates.json": "11eac17060ee9a66df2cc50f169278c5d9f9802398dad40158c4d506392301ef",
-        "samples.csv": "ab194f2387ae54a8f872e3bf2dd95efb6890864cca56e5dce480fb822dfb3aa4",
+        "samples.csv": "c0725ddfe78b7906f190e59a83189d3c8b55df38a33ab4e6b5f85d191398a2fc",
         "stdout": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
         "summary.txt": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
-        "trace.csv": "8460faad92ccd5cd0b2675fcb1eec5e7928dc1db03392d064dd8ddd6109686be",
+        "trace.csv": "9afeef14d99be374e1eb7f0e927f9da248bc94ccedd06d10893e622360fe2741",
     },
     "sample-wide": {
-        "estimates.json": "c936938da11bfd04778e3b096b0215ad5b462602a5c3122dcc7ef807a07cb623",
+        "estimates.json": "bef1e402bc6fbf552756f708b12c6bc1bda14ee7df38c9421587a099406f18d3",
         "samples.csv": "bd292317f623826ee7b1afb73054f1a29e6395441563b7942ca1517c68884fbf",
         "stdout": "ac410370c7757815ce2fe41bd9be2334f5a863e1a98a730b1382cd67cfc720c8",
         "summary.txt": "ac410370c7757815ce2fe41bd9be2334f5a863e1a98a730b1382cd67cfc720c8",

@@ -3,6 +3,8 @@ import concurrent.futures
 import copy
 import math
 import os
+import subprocess
+import sys
 import threading
 from functools import partial
 
@@ -762,3 +764,41 @@ def test_pool_workers_draw_inline(monkeypatch, cheap):
         run_tempering_batch(cheap, [1.0], [0.0], 8, params, np.random.default_rng(0))
     res = run_main_algorithm(cheap, params, n_samples=40, workers=2)
     assert res.samples.shape == (40, 1)
+
+
+# one wide d = 10 engine call on a mixture with generic means, so that the
+# matrix products round; its 32,768 chains give the Langevin moves about
+# 16,384 columns, where two OpenBLAS threads split the products
+_BLAS_THREADS_RUN = """
+import hashlib
+import numpy as np
+from stlmc.mixture_target import GaussianMixture
+from stlmc.tempering_chain import RunParams, new_batch_stats, run_tempering_batch
+
+rng = np.random.default_rng(90)
+target = GaussianMixture(rng.dirichlet(np.ones(8)), 2.0 * rng.standard_normal((8, 10)), 1.3)
+betas = np.array([0.1, 0.25, 0.5, 1.0])
+stats = new_batch_stats(len(betas))
+x, lev = run_tempering_batch(target, betas, -0.3 * np.arange(4.0), 32768,
+                             RunParams(eta=0.1, T=0.5, t=6),
+                             [np.random.default_rng([91, b]) for b in range(8)], stats)
+digest = hashlib.sha256(x.tobytes() + lev.tobytes())
+for key in sorted(stats):
+    digest.update(np.asarray(stats[key]).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_engine_bytes_do_not_depend_on_blas_threads():
+    # the mixture kernel pads its column width so that every column takes
+    # the same path through BLAS, however many threads split the work
+    src = os.path.dirname(os.path.dirname(tempering_chain.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
