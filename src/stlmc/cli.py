@@ -36,7 +36,7 @@ from .errors import (
     RetriesExhaustedError,
     _coerce,
 )
-from .langevin_kernel import check_step_size, run_macro_step
+from .langevin_kernel import run_macro_step
 from .mixture_target import GaussianMixture, target_from_config
 from .partition_estimator import run_main_algorithm, save_estimates
 from .tempering_chain import RunParams, make_ladder, run_stlmc, write_trace_csv
@@ -196,7 +196,6 @@ def _main_run(args, with_samples):
             raise ConfigError(f"bins={bins} would evaluate the TV step's exact masses at "
                               f"{points} points, more than {_TV_POINTS}")
         radius = _mode_radius(args, cfg, target)
-    check_step_size(params.eta, target)
     out = _out_path(args, cfg)
     result = run_main_algorithm(target, params, n_samples=n_samples, workers=workers)
     return target, params, workers, out, radius, result

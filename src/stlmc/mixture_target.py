@@ -45,7 +45,6 @@ from .errors import NonConvergenceError, _coerce
 __all__ = [
     "GaussianMixture",
     "PerturbedTarget",
-    "SinusoidalPerturbation",
     "locate_min",
     "hessian_max_eig",
     "close_to_sum_ratio",
@@ -234,16 +233,22 @@ def _logsumexp(a):
     return s
 
 
-@dataclass(frozen=True)
-class SinusoidalPerturbation:
-    """Product-of-sines perturbation delta(x) = amplitude * prod_j sin(x_j / scale).
+@dataclass(frozen=True, eq=False)
+class PerturbedTarget:
+    """A mixture target plus a product-of-sines perturbation of its energy.
 
-    Bounds are available in closed form: the sup norm of delta is
-    |amplitude|, the sup norm of its gradient is
-    |amplitude| * sqrt(d) / scale, and the largest Hessian eigenvalue
-    is at most |amplitude| * d / scale^2 in absolute value.
+    ``f(x) = base.f(x) + amplitude * prod_j sin(x_j / scale)``;
+    ``amplitude`` and ``scale`` are the keys of a config's
+    ``perturbation`` section. Construction sets the perturbation's
+    closed-form sup-norm bounds: ``delta = |amplitude|`` on the energy
+    shift, ``tau = |amplitude| sqrt(d) / scale`` on the gradient shift and
+    ``curvature = |amplitude| d / scale^2`` on the Hessian shift's largest
+    eigenvalue. Unlike the exact mixture, f may dip as low as ``-delta``. The base's geometry (``n``, ``d``,
+    ``sigma2``, ``D``, ``w_min`` and ``means``, the centers of the
+    perturbed modes) is copied at construction; equality is identity.
     """
 
+    base: GaussianMixture
     amplitude: float
     scale: float = 1.0
 
@@ -252,56 +257,12 @@ class SinusoidalPerturbation:
             raise ValueError("scale must be positive")
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
-
-    def value(self, pts):
-        return self.amplitude * np.prod(np.sin(pts / self.scale), axis=-1)
-
-    def grad(self, pts):
-        """Gradient of ``value``; at d == 1, (amplitude / scale) cos(x / scale), with no sines."""
-        z = pts / self.scale
-        d = pts.shape[-1]
-        s = np.sin(z) if d > 1 else None
-        c = np.cos(z)
-        out = np.empty_like(c)
-        for j in range(d):
-            others = [k for k in range(d) if k != j]
-            rest = np.prod(s[..., others], axis=-1) if others else 1.0
-            out[..., j] = (self.amplitude / self.scale) * c[..., j] * rest
-        return out
-
-    @property
-    def delta(self) -> float:
-        return abs(self.amplitude)
-
-    def tau(self, d: int) -> float:
-        return abs(self.amplitude) * math.sqrt(d) / self.scale
-
-    def curvature(self, d: int) -> float:
-        return abs(self.amplitude) * d / self.scale**2
-
-
-@dataclass(frozen=True, eq=False)
-class PerturbedTarget:
-    """A mixture target plus a bounded perturbation of its energy.
-
-    ``f = base.f + perturbation.value`` with declared sup-norm bounds
-    ``delta`` on the energy shift, ``tau`` on the gradient shift and
-    ``curvature`` on the Hessian shift. Unlike the exact mixture, f may
-    dip as low as ``-delta``. The base's geometry (``n``, ``d``,
-    ``sigma2``, ``D``, ``w_min`` and ``means``, the centers of the
-    perturbed modes) is copied at construction; equality is identity.
-    """
-
-    base: GaussianMixture
-    perturbation: SinusoidalPerturbation
-
-    def __post_init__(self):
-        base = self.base
         for name in ("n", "d", "sigma2", "D", "w_min", "means"):
-            object.__setattr__(self, name, getattr(base, name))
-        object.__setattr__(self, "delta", float(self.perturbation.delta))
-        object.__setattr__(self, "tau", float(self.perturbation.tau(base.d)))
-        object.__setattr__(self, "curvature", float(self.perturbation.curvature(base.d)))
+            object.__setattr__(self, name, getattr(self.base, name))
+        amp = abs(self.amplitude)
+        object.__setattr__(self, "delta", float(amp))
+        object.__setattr__(self, "tau", float(amp * math.sqrt(self.d) / self.scale))
+        object.__setattr__(self, "curvature", float(amp * self.d / self.scale**2))
 
     def f(self, x):
         return _evaluate(self, x, True, False)[0]
@@ -314,10 +275,23 @@ class PerturbedTarget:
         return _evaluate(self, x, value, True)
 
     def _energy(self, pts):
-        return self.base._energy(pts) + self.perturbation.value(pts)
+        bump = self.amplitude * np.prod(np.sin(pts / self.scale), axis=-1)
+        return self.base._energy(pts) + bump
 
     def _grad(self, pts):
-        return self.base._grad(pts) + self.perturbation.grad(pts)
+        """The base gradient plus the perturbation's, with no sines at d == 1.
+
+        Coordinate j of the perturbation's gradient is
+        (amplitude / scale) cos(x_j / scale) prod_{k != j} sin(x_k / scale).
+        """
+        z = pts / self.scale
+        s = np.sin(z) if self.d > 1 else None
+        g = np.cos(z)
+        for j in range(self.d):
+            others = [k for k in range(self.d) if k != j]
+            rest = np.prod(s[:, others], axis=-1) if others else 1.0
+            g[:, j] = (self.amplitude / self.scale) * g[:, j] * rest
+        return self.base._grad(pts) + g
 
 
 def locate_min(target, step=None, max_iter=10_000, tol=1e-8):
@@ -459,8 +433,6 @@ def target_from_config(config: dict):
         raise ValueError("perturbation config requires an 'amplitude' field")
     return PerturbedTarget(
         mix,
-        SinusoidalPerturbation(
-            amplitude=_coerce("perturbation.amplitude", float, pert["amplitude"]),
-            scale=_coerce("perturbation.scale", float, pert.get("scale", 1.0)),
-        ),
+        amplitude=_coerce("perturbation.amplitude", float, pert["amplitude"]),
+        scale=_coerce("perturbation.scale", float, pert.get("scale", 1.0)),
     )

@@ -122,10 +122,11 @@ def _run_group(target, betas, log_zhat, params, keys):
     return x, lev, st
 
 
-def _collect_top(target, betas, log_zhat, n_want, params, workers, pool=None):
+def _collect_top(target, betas, log_zhat, n_want, params, workers, name, pool=None):
     """Gather n_want replica endpoints that finished at the top prefix level.
 
-    The stage is the prefix length ``len(betas)``. Its round r runs
+    The stage is the prefix length ``len(betas)``, and ``name`` names it
+    in the error raised when its rounds run out. Its round r runs
     enough blocks for the replicas still missing, in
     contiguous groups of at most ``_GROUP_SIZE`` chains times d (and at
     least one block) and at most ``ceil(blocks / workers)`` blocks,
@@ -160,7 +161,7 @@ def _collect_top(target, betas, log_zhat, n_want, params, workers, pool=None):
         params.max_retries,
         {lv + 1: int(c) for lv, c in enumerate(final_levels) if c},
         message=(
-            f"stage {stage}: {got}/{n_want} top-level replicas after "
+            f"{name} failed: {got}/{n_want} top-level replicas after "
             f"{params.max_retries} rounds"
         ),
     )
@@ -192,22 +193,15 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     workers = min(workers, _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for ell in range(1, L):
-            try:
-                xs, st = _collect_top(
-                    target, betas[:ell], np.asarray(lz), m, params, workers, pool
-                )
-            except RetriesExhaustedError as exc:
-                raise RetriesExhaustedError(
-                    exc.attempts, exc.final_levels,
-                    message=f"estimation stage {ell} of {L} failed: {exc}",
-                ) from exc
+            xs, st = _collect_top(target, betas[:ell], np.asarray(lz), m, params, workers,
+                                  f"estimation stage {ell} of {L}", pool)
             phases.append(st)
             lz.append(estimate_next_z(xs, target, betas[ell - 1], betas[ell], lz[-1]))
         log_zhat = np.asarray(lz)
         log_zhat.flags.writeable = False
         if n_samples > 0:
             samples, st = _collect_top(target, betas, log_zhat, int(n_samples), params,
-                                       workers, pool)
+                                       workers, f"final sampling stage {L} of {L}", pool)
             phases.append(st)
     stats = {"grad_evals": sum(st["grad_evals"] for st in phases), "phases": phases}
     return MainResult(samples=samples, betas=betas, log_zhat=log_zhat, stats=stats)

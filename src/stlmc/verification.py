@@ -49,7 +49,6 @@ from .langevin_kernel import run_macro_step
 from .mixture_target import (
     GaussianMixture,
     PerturbedTarget,
-    SinusoidalPerturbation,
     check_perturbation_bounds,
     close_to_sum_ratio,
     hessian_max_eig,
@@ -186,7 +185,7 @@ def mixture_suite():
     _run(checks, "strongly convex envelope within D^2", sce_cases)
 
     def perturbation_envelope():
-        pert = PerturbedTarget(desk, SinusoidalPerturbation(0.2, 1.0))
+        pert = PerturbedTarget(desk, 0.2, 1.0)
         fdev, gdev = check_perturbation_bounds(
             pert, n_points=10_000, rng=np.random.default_rng(15)
         )

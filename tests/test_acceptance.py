@@ -46,7 +46,6 @@ from stlmc.langevin_kernel import run_macro_step
 from stlmc.mixture_target import (
     GaussianMixture,
     PerturbedTarget,
-    SinusoidalPerturbation,
     close_to_sum_ratio,
     hessian_max_eig,
     locate_min,
@@ -301,7 +300,7 @@ def test_criterion_08_estimator_concentration():
 
 
 def test_criterion_09_perturbation_tolerance():
-    pert = PerturbedTarget(DESK, SinusoidalPerturbation(0.2, 1.0))
+    pert = PerturbedTarget(DESK, 0.2, 1.0)
 
     base_gen = discretize_langevin_generator(DESK, 1.0, 9.0, 600)
     pert_gen = discretize_langevin_generator(pert, 1.0, 9.0, 600)

@@ -20,7 +20,7 @@ from stlmc.diagnostics import (
     tv_from_masses,
 )
 from stlmc.errors import BoundViolationError
-from stlmc.mixture_target import GaussianMixture, PerturbedTarget, SinusoidalPerturbation
+from stlmc.mixture_target import GaussianMixture, PerturbedTarget
 from stlmc.partition_estimator import sample_exact
 
 
@@ -114,7 +114,7 @@ def test_exact_bin_masses_closed_form_matches_quadrature(desk):
     h = Histogram(lo, hi, 50, np.zeros(50, dtype=np.int64), 0)
     closed = exact_bin_masses(desk, h)
     # zero-amplitude wrapper has the same density but no closed form
-    generic = exact_bin_masses(PerturbedTarget(desk, SinusoidalPerturbation(0.0)), h)
+    generic = exact_bin_masses(PerturbedTarget(desk, 0.0), h)
     np.testing.assert_allclose(generic, closed, atol=1e-8)
     assert closed.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -124,7 +124,7 @@ def test_exact_bin_masses_closed_form_matches_quadrature_2d():
     lo, hi = default_box(mix)
     h = Histogram(lo, hi, 16, np.zeros((16, 16), dtype=np.int64), 0)
     closed = exact_bin_masses(mix, h)
-    generic = exact_bin_masses(PerturbedTarget(mix, SinusoidalPerturbation(0.0)), h)
+    generic = exact_bin_masses(PerturbedTarget(mix, 0.0), h)
     assert closed.shape == (16, 16)
     np.testing.assert_allclose(generic, closed, atol=1e-6)
     assert closed.sum() == pytest.approx(1.0, abs=1e-5)
@@ -167,7 +167,7 @@ def test_oracles_refuse_a_non_positive_beta(desk, beta):
     if np.ndim(beta) == 0:
         h = Histogram([-9.0], [9.0], 10, np.zeros(10, dtype=np.int64), 0)
         with pytest.raises(ValueError, match="beta must be positive"):
-            exact_bin_masses(PerturbedTarget(desk, SinusoidalPerturbation(0.2)), h, beta=beta)
+            exact_bin_masses(PerturbedTarget(desk, 0.2), h, beta=beta)
 
 
 def _bin_rule_masses(target, h, beta):
@@ -189,7 +189,7 @@ def _bin_rule_masses(target, h, beta):
 @pytest.mark.parametrize("d, bins, beta", [(1, 100, 1.0), (1, 100, 0.3), (2, 40, 1.0)])
 def test_exact_bin_masses_normalizer_matches_log_partition_quadrature(desk, d, bins, beta):
     four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
-    target = PerturbedTarget(desk if d == 1 else four, SinusoidalPerturbation(0.2, 1.0))
+    target = PerturbedTarget(desk if d == 1 else four, 0.2, 1.0)
     lo, hi = default_box(target)
     h = Histogram(lo, hi, bins, np.zeros((bins,) * d, dtype=np.int64), 0)
     np.testing.assert_allclose(exact_bin_masses(target, h, beta=beta),
@@ -210,7 +210,7 @@ def _quad_pieces(target, a, b, piece, beta=1.0):
 def test_exact_bin_masses_resolves_bins_wider_than_sigma(desk, bins):
     # one 12-point rule over a 4.5- or 9-sigma bin of a fast-oscillating
     # perturbation is off by up to 6e-3; adaptive quad on half-sigma pieces is not
-    target = PerturbedTarget(desk, SinusoidalPerturbation(0.2, 0.3))
+    target = PerturbedTarget(desk, 0.2, 0.3)
     lo, hi = default_box(target)
     h = Histogram(lo, hi, bins, np.zeros(bins, dtype=np.int64), 0)
     e = h.edges()
@@ -224,7 +224,7 @@ def test_exact_bin_masses_resolves_bins_wider_than_sigma(desk, bins):
 def test_exact_bin_masses_resolves_perturbations_shorter_than_sigma(desk, scale, bins):
     # sigma-wide panels left these masses off by 2.6e-5 and 3.3e-9; panels at
     # most curvature**-0.5 wide follow sin(x / scale) as well as the modes
-    target = PerturbedTarget(desk, SinusoidalPerturbation(0.2, scale))
+    target = PerturbedTarget(desk, 0.2, scale)
     lo, hi = default_box(target)
     h = Histogram(lo, hi, bins, np.zeros(bins, dtype=np.int64), 0)
     e = h.edges()
@@ -238,7 +238,7 @@ def test_exact_bin_masses_resolves_perturbations_shorter_than_sigma(desk, scale,
 @pytest.mark.parametrize("amplitude, scale", [(0.2, 0.05), (1.0, 0.05), (0.2, 0.02)])
 def test_log_partition_quadrature_resolves_perturbations_shorter_than_sigma(desk, amplitude,
                                                                            scale):
-    target = PerturbedTarget(desk, SinusoidalPerturbation(amplitude, scale))
+    target = PerturbedTarget(desk, amplitude, scale)
     for beta in (1.0, 0.3):
         R = desk.D + 12.0 / math.sqrt(beta)
         expected = math.log(_quad_pieces(target, -R, R, scale, beta))
@@ -263,7 +263,7 @@ def test_log_partition_quadrature_memory_stays_bounded():
     import tracemalloc
 
     four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
-    target = PerturbedTarget(four, SinusoidalPerturbation(0.2, 0.3))
+    target = PerturbedTarget(four, 0.2, 0.3)
     tracemalloc.start()
     try:
         log_partition_quadrature(target, np.array([0.125, 0.5, 1.0]))
@@ -280,7 +280,7 @@ def test_exact_bin_masses_box_past_the_quadrature_box(desk, lo, hi):
     base = desk if len(lo) == 1 else GaussianMixture([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]], 1.0)
     bins = 40 if len(lo) == 1 else 20
     h = Histogram(lo, hi, bins, np.zeros((bins,) * len(lo), dtype=np.int64), 0)
-    masses = exact_bin_masses(PerturbedTarget(base, SinusoidalPerturbation(0.0)), h)
+    masses = exact_bin_masses(PerturbedTarget(base, 0.0), h)
     assert masses.min() >= 0.0
     assert masses.sum() <= 1.0 + 1e-12
     np.testing.assert_allclose(masses, exact_bin_masses(base, h), rtol=0.0, atol=1e-12)
@@ -291,7 +291,7 @@ def test_exact_bin_masses_box_past_the_quadrature_box(desk, lo, hi):
 def test_bin_mass_points_counts_the_rows_exact_bin_masses_evaluates(monkeypatch, desk,
                                                                     lo, hi, bins):
     base = desk if len(lo) == 1 else GaussianMixture([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]], 1.0)
-    target = PerturbedTarget(base, SinusoidalPerturbation(0.2))
+    target = PerturbedTarget(base, 0.2)
     rows = []
     inner = PerturbedTarget.f
     monkeypatch.setattr(PerturbedTarget, "f",

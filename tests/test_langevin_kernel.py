@@ -6,7 +6,7 @@ import pytest
 
 from stlmc.errors import NonFiniteGradientError
 from stlmc.langevin_kernel import check_step_size, run_macro_step
-from stlmc.mixture_target import GaussianMixture, PerturbedTarget, SinusoidalPerturbation
+from stlmc.mixture_target import GaussianMixture, PerturbedTarget
 from stlmc.tempering_chain import RunParams
 
 
@@ -48,7 +48,7 @@ def test_check_step_size(desk):
 def test_check_step_size_counts_perturbation_curvature(desk):
     # the sinusoid adds up to |A| d / s^2 to the Hessian: A = 2, s = 0.5
     # gives 8, so eta <= 1 / (2 (1 + 8)) = 1/18 and eta = 0.1 is refused
-    sharp = PerturbedTarget(desk, SinusoidalPerturbation(2.0, 0.5))
+    sharp = PerturbedTarget(desk, 2.0, 0.5)
     assert sharp.curvature == 8.0
     with pytest.raises(ValueError, match="curvature"):
         check_step_size(0.1, sharp)
@@ -57,10 +57,10 @@ def test_check_step_size_counts_perturbation_curvature(desk):
     quad = GaussianMixture([0.25] * 4, [[-2, -2], [-2, 2], [2, -2], [2, 2]], 1.0)
     for base in (desk, quad):
         for scale in (1.0, 1.5):
-            mild = PerturbedTarget(base, SinusoidalPerturbation(0.2, scale))
+            mild = PerturbedTarget(base, 0.2, scale)
             check_step_size(0.1, mild)
     # a flat perturbation keeps the plain mixture's sigma2 / 2 exactly
-    flat = PerturbedTarget(desk, SinusoidalPerturbation(0.0))
+    flat = PerturbedTarget(desk, 0.0)
     check_step_size(0.5, flat)
     with pytest.raises(ValueError, match="sigma2/2"):
         check_step_size(0.5 + 1e-9, flat)
@@ -97,7 +97,7 @@ def test_run_macro_step_equals_unrolled_steps():
     cases = [
         (mix, np.array([[0.5], [-0.5], [3.0]])),
         (quad, np.array([0.3, -1.2])),
-        (PerturbedTarget(quad, SinusoidalPerturbation(0.2, 1.5)),
+        (PerturbedTarget(quad, 0.2, 1.5),
          np.random.default_rng(3).standard_normal((6, 2))),
     ]
     for target, x0 in cases:

@@ -1,4 +1,5 @@
 """Tests for mixture energies, gradients, and the structural bounds on them."""
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from stlmc.errors import NonConvergenceError
 from stlmc.mixture_target import (
     GaussianMixture,
     PerturbedTarget,
-    SinusoidalPerturbation,
     check_perturbation_bounds,
     close_to_sum_ratio,
     hessian_max_eig,
@@ -173,17 +173,38 @@ def test_hessian_max_eig():
         assert hessian_max_eig(desk, np.array([x])) <= 2.0 / desk.sigma2 + 1e-3
 
 
-def test_sinusoidal_perturbation_bounds():
-    pert = SinusoidalPerturbation(0.2)
+def test_sinusoidal_perturbation_bounds(desk):
+    pert = PerturbedTarget(desk, 0.2)
     assert pert.delta == 0.2
-    assert pert.tau(1) == pytest.approx(0.2)
-    assert pert.tau(4) == pytest.approx(0.4)
-    assert SinusoidalPerturbation(-0.3).delta == 0.3
+    assert pert.tau == pytest.approx(0.2)
+    assert PerturbedTarget(_generic_mixture(2, 4, 0), 0.2).tau == pytest.approx(0.4)
+    assert PerturbedTarget(desk, -0.3).delta == 0.3
     pts = np.array([[math.pi / 2.0], [0.0]])
-    np.testing.assert_allclose(pert.value(pts), [0.2, 0.0], atol=1e-12)
-    np.testing.assert_allclose(pert.grad(pts), [[0.0], [0.2]], atol=1e-12)
+    np.testing.assert_allclose(pert.f(pts) - desk.f(pts), [0.2, 0.0], atol=1e-12)
+    np.testing.assert_allclose(pert.grad(pts) - desk.grad(pts), [[0.0], [0.2]], atol=1e-12)
     with pytest.raises(ValueError):
-        SinusoidalPerturbation(0.2, scale=0.0)
+        PerturbedTarget(desk, 0.2, scale=0.0)
+
+
+def _sine_terms(pts, amplitude, scale):
+    """The perturbation's value and gradient at (m, d) points, written out op for op.
+
+    ``amplitude * prod_j sin(x_j / scale)``, and in coordinate j of the
+    gradient ``((amplitude / scale) * cos(x_j / scale)) * prod_{k != j}
+    sin(x_k / scale)``, with no sines at d = 1. ``PerturbedTarget`` adds
+    these to its base's energy and gradient with the same bits.
+    """
+    value = amplitude * np.prod(np.sin(pts / scale), axis=-1)
+    z = pts / scale
+    d = pts.shape[-1]
+    s = np.sin(z) if d > 1 else None
+    c = np.cos(z)
+    g = np.empty_like(c)
+    for j in range(d):
+        others = [k for k in range(d) if k != j]
+        rest = np.prod(s[..., others], axis=-1) if others else 1.0
+        g[..., j] = (amplitude / scale) * c[..., j] * rest
+    return value, g
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -193,10 +214,11 @@ def test_gradient_only_call_is_bit_identical(d, perturbed):
     # and grad(x), and the Langevin kernel's value=False call the same
     # gradient, for a single point, an (m, d) batch and the transpose of
     # the (d, m) layout the engine passes; a batch's bits do not depend
-    # on its memory layout
+    # on its memory layout; a perturbed target's bits are its base's plus
+    # the sine formulas of _sine_terms
     target = _generic_mixture(3, d, 70 + d)
     if perturbed:
-        target = PerturbedTarget(target, SinusoidalPerturbation(0.7, 1.3))
+        target = PerturbedTarget(target, 0.7, 1.3)
     pts = np.random.default_rng(71 + d).uniform(-20.0, 20.0, size=(257, d))
     f_ref, g_ref = target.f(pts), target.grad(pts)
     mix = target.base if perturbed else target
@@ -217,13 +239,15 @@ def test_gradient_only_call_is_bit_identical(d, perturbed):
             assert fv.tobytes() == f_ref.tobytes()
             assert g.tobytes() == g_ref.tobytes()
     if perturbed:
-        base, pert = target.base, target.perturbation
-        assert target.f(pts).tobytes() == (base.f(pts) + pert.value(pts)).tobytes()
-        assert np.array_equal(g_ref, base.grad(pts) + pert.grad(pts))
+        value, grad = _sine_terms(pts, 0.7, 1.3)
+        assert f_ref.tobytes() == (mix.f(pts) + value).tobytes()
+        assert g_ref.tobytes() == (mix.grad(pts) + grad).tobytes()
+        assert np.float64(target.f(pts[0])).tobytes() == (mix.f(pts[0]) + value[0]).tobytes()
+        assert target.grad(pts[0]).tobytes() == (mix.grad(pts[0]) + grad[0]).tobytes()
 
 
 def test_perturbed_target_composition(desk):
-    target = PerturbedTarget(desk, SinusoidalPerturbation(0.2, scale=1.5))
+    target = PerturbedTarget(desk, 0.2, scale=1.5)
     x = np.array([0.8])
     expected = desk.f(x) + 0.2 * math.sin(0.8 / 1.5)
     assert target.f(x) == pytest.approx(expected, abs=1e-12)
@@ -263,6 +287,44 @@ def test_target_from_config_round_trip():
         )
 
 
+class _RecordedSection(dict):
+    """A config section that records the keys looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_config_keys_are_the_constructor_fields():
+    # the perturbation keys are PerturbedTarget's fields less base, and the
+    # target keys GaussianMixture's plus perturbation: a field or a key
+    # added on one side only fails here
+    pert_keys = {f.name for f in dataclasses.fields(PerturbedTarget)} - {"base"}
+    mix_keys = {f.name for f in dataclasses.fields(GaussianMixture)}
+    values = {"weights": [0.25, 0.75], "means": [[-3.0], [3.0]], "sigma2": 1.5,
+              "amplitude": 0.2, "scale": 0.7}
+    assert pert_keys | mix_keys <= values.keys()
+    pert = _RecordedSection({k: values[k] for k in pert_keys})
+    section = _RecordedSection({**{k: values[k] for k in mix_keys}, "perturbation": pert})
+    target = target_from_config(section)
+    assert section.read == mix_keys | {"perturbation"}
+    assert pert.read == pert_keys
+    for k in pert_keys:
+        assert getattr(target, k) == values[k]
+    for k in mix_keys:
+        np.testing.assert_array_equal(getattr(target.base, k), values[k])
+    with pytest.raises(ValueError, match=r"unknown perturbation keys \['base'\]"):
+        target_from_config({**section, "perturbation": {**pert, "base": None}})
+
+
 def _reference_f_grad(mix, pts):
     """The energy and gradient by explicit differences x - mu_i."""
     diff = pts[:, None, :] - mix.means[None, :, :]
@@ -288,11 +350,12 @@ def test_kernel_matches_difference_formula():
     np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(mix.f(pts), ref_f, rtol=1e-12, atol=1e-12)
 
-    pert = PerturbedTarget(_generic_mixture(3, 2, 42), SinusoidalPerturbation(0.2, 1.5))
+    pert = PerturbedTarget(_generic_mixture(3, 2, 42), 0.2, 1.5)
     pts = np.random.default_rng(43).uniform(-50.0, 50.0, size=(500, 2))
     ref_f, ref_g = _reference_f_grad(pert.base, pts)
-    ref_f = ref_f + pert.perturbation.value(pts)
-    ref_g = ref_g + pert.perturbation.grad(pts)
+    value, grad = _sine_terms(pts, 0.2, 1.5)
+    ref_f = ref_f + value
+    ref_g = ref_g + grad
     fv, g = pert.f_and_grad(pts)
     np.testing.assert_allclose(fv, ref_f, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(g, ref_g, rtol=1e-12, atol=1e-12)

@@ -10,11 +10,7 @@ from scipy.special import logsumexp
 
 from stlmc.diagnostics import log_partition_quadrature
 from stlmc.errors import BoundViolationError, RetriesExhaustedError
-from stlmc.mixture_target import (
-    GaussianMixture,
-    PerturbedTarget,
-    SinusoidalPerturbation,
-)
+from stlmc.mixture_target import GaussianMixture, PerturbedTarget
 from stlmc.partition_estimator import (
     _collect_top,
     concentration_check,
@@ -196,9 +192,33 @@ def test_round_budget_is_max_retries(cheap):
     params = RunParams(eta=0.1, T=0.5, t=10, seed=3, max_retries=2)
     with pytest.raises(RetriesExhaustedError,
                        match="0/10 top-level replicas after 2 rounds") as exc:
-        _collect_top(cheap, betas, np.array([0.0, 60.0]), 10, params, 1)
+        _collect_top(cheap, betas, np.array([0.0, 60.0]), 10, params, 1, "stage 2")
     assert exc.value.attempts == 2
     assert exc.value.final_levels == {1: 2 * 512}
+
+
+def test_stage_failures_name_the_stage_once(monkeypatch, cheap):
+    # one step per chain cannot carry a replica from level 1 to level 3
+    params = RunParams(eta=0.1, T=0.5, t=1, m=10, seed=3, max_retries=1)
+    with pytest.raises(RetriesExhaustedError) as exc:
+        run_main_algorithm(cheap, params, n_samples=10)
+    assert str(exc.value) == (
+        "estimation stage 3 of 4 failed: 0/10 top-level replicas after 1 rounds")
+    assert exc.value.attempts == 1
+    assert sum(exc.value.final_levels.values()) == 512 and 3 not in exc.value.final_levels
+    # a top-level normalizer 60 too large keeps the final stage off the top
+    # level, after every estimation stage has filled in its one round
+    estimate = partition_estimator.estimate_next_z
+    monkeypatch.setattr(partition_estimator, "estimate_next_z",
+                        lambda xs, target, b, b_next, lz: estimate(xs, target, b, b_next, lz)
+                        + (60.0 if b_next == 1.0 else 0.0))
+    params = RunParams(eta=0.1, T=0.5, t=40, m=10, seed=3, max_retries=1)
+    with pytest.raises(RetriesExhaustedError) as exc:
+        run_main_algorithm(cheap, params, n_samples=10)
+    assert str(exc.value) == (
+        "final sampling stage 4 of 4 failed: 0/10 top-level replicas after 1 rounds")
+    assert exc.value.attempts == 1
+    assert sum(exc.value.final_levels.values()) == 512 and 4 not in exc.value.final_levels
 
 
 def test_group_cap_follows_chains_times_d(monkeypatch, cheap):
@@ -219,7 +239,7 @@ def test_group_cap_follows_chains_times_d(monkeypatch, cheap):
     for cap in (partition_estimator._GROUP_SIZE, 8 * 512):
         monkeypatch.setattr(partition_estimator, "_GROUP_SIZE", cap)
         widths.clear()
-        x, st = _collect_top(cheap, betas, lz, 2000, params, 1)
+        x, st = _collect_top(cheap, betas, lz, 2000, params, 1, "stage 4")
         runs.append((x, st, list(widths)))
     (xa, sa, wa), (xb, sb, wb) = runs
     assert wa[0] == 20 and wb[:3] == [8, 8, 4]
@@ -368,7 +388,7 @@ def test_concentration_check_validates_its_arguments(desk):
     with pytest.raises(ValueError, match="beta must lie"):
         concentration_check(desk, 1.2, 1.3, n_samples=10, n_trials=2)
     with pytest.raises(TypeError, match="unperturbed"):
-        concentration_check(PerturbedTarget(desk, SinusoidalPerturbation(0.1)), 0.5, 0.6,
+        concentration_check(PerturbedTarget(desk, 0.1), 0.5, 0.6,
                             n_samples=10, n_trials=2)
 
 
@@ -437,7 +457,7 @@ def _nquad_log_partition(target, beta):
 
 def test_log_partition_quadrature_matches_nquad_reference():
     four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
-    bumpy = PerturbedTarget(four, SinusoidalPerturbation(0.2, 1.0))
+    bumpy = PerturbedTarget(four, 0.2, 1.0)
     for target in (four, bumpy):
         for beta in (1.0, 0.3):
             assert abs(log_partition_quadrature(target, beta)
@@ -446,7 +466,7 @@ def test_log_partition_quadrature_matches_nquad_reference():
 
 def test_vector_log_partition_quadrature_matches_scalar_calls(desk):
     four = GaussianMixture([0.25] * 4, [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]], 1.0)
-    bumpy = PerturbedTarget(desk, SinusoidalPerturbation(0.2, 1.0))
+    bumpy = PerturbedTarget(desk, 0.2, 1.0)
     betas = np.array([0.05, 0.125, 0.3, 0.7, 1.0])
     for target in (desk, four, bumpy):
         vec = log_partition_quadrature(target, betas)

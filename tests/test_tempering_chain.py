@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from stlmc.errors import NonFiniteGradientError, RetriesExhaustedError
-from stlmc.mixture_target import (
-    GaussianMixture,
-    PerturbedTarget,
-    SinusoidalPerturbation,
-)
+from stlmc.mixture_target import GaussianMixture, PerturbedTarget
 from stlmc import tempering_chain
 from stlmc.diagnostics import log_partition_quadrature
 from stlmc.partition_estimator import run_main_algorithm
@@ -435,7 +431,7 @@ def test_engine_gradient_rows_go_through_f_and_grad(monkeypatch, cheap, perturbe
     # the public f_and_grad (outermost call only), so those rows must equal
     # stats["grad_evals"]; the engine reads only the gradient, so every
     # call asks for value=False
-    target = PerturbedTarget(cheap, SinusoidalPerturbation(0.2)) if perturbed else cheap
+    target = PerturbedTarget(cheap, 0.2) if perturbed else cheap
     rows = []
     values = []
     depth = [0]
