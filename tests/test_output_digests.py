@@ -49,6 +49,7 @@ CASES = {
     "compare": (["compare", "--n-samples", "20"], CHEAP, {}),
     "analyze": (["analyze", "--cells", "20"], FOUR, {}),
     "verify-diagnostics": (["verify", "--suite", "diagnostics"], None, None),
+    "verify-estimator": (["verify", "--suite", "estimator"], None, None),
 }
 
 DIGESTS = {
@@ -114,6 +115,9 @@ DIGESTS = {
     },
     "verify-diagnostics": {
         "stdout": "f5eed8bd6568420fa4706c27856d02aa813a28b219656548c940f3da9ac1b537",
+    },
+    "verify-estimator": {
+        "stdout": "cc0b2312206820917f712d8a60329abe283b20586c8e859b52dc4201bd790f74",
     },
 }
 
