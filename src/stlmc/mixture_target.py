@@ -184,10 +184,6 @@ class GaussianMixture:
         a += self._a_shift
         return xt, a
 
-    def _logits(self, pts):
-        """(n, m) logits a_i of the (m, d) points."""
-        return self._padded_logits(pts)[1][:, :pts.shape[0]]
-
     def f(self, x):
         """Energy f(x); float for a single point, (m,) array for a batch."""
         return _evaluate(self, x, True, False)[0]
@@ -223,7 +219,7 @@ class GaussianMixture:
 
 
 def _logsumexp(a):
-    """log sum_i exp(a_i) over axis 0 of the padded (n, w) logits a, which it overwrites."""
+    """log sum_i exp(a_i) over axis 0 of an (n, w) array a by a max shift; overwrites a."""
     top = a.max(axis=0)
     a -= top
     np.exp(a, out=a)

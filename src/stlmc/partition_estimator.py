@@ -29,7 +29,7 @@ import numpy as np
 from .diagnostics import log_partition_quadrature
 from .errors import BoundViolationError, RetriesExhaustedError
 from .langevin_kernel import check_step_size
-from .mixture_target import GaussianMixture
+from .mixture_target import GaussianMixture, _logsumexp
 from .tempering_chain import (
     RunParams,
     _usable_cpus,
@@ -104,7 +104,7 @@ def estimate_next_z(samples, target, beta_l, beta_next, log_zhat_l) -> float:
         raise ValueError("the ladder must be non-decreasing")
     fs = np.atleast_1d(target.f(samples))
     a = (beta_l - beta_next) * fs
-    log_ratio = float(_logsumexp0(a) - math.log(fs.shape[0]))
+    log_ratio = float(_logsumexp(a[:, None])[0] - math.log(fs.shape[0]))
     allowance = (beta_next - beta_l) * target.delta
     if log_ratio > allowance + 1e-12:
         raise BoundViolationError("estimate ratio factor", log_ratio, allowance)
@@ -243,8 +243,10 @@ def _exact_draws(mixture, n, rngs, beta):
         # log exp(-beta f) less the log of the envelope sum_i w_i^beta
         # exp(-beta ||x - mu_i||^2 / (2 sigma2)), both from the logits a_i:
         # their ||x||^2 / (2 sigma2) terms cancel
-        a = mixture._logits(xs)
-        keep = np.log(1.0 - u) < beta * _logsumexp0(a) - _logsumexp0(beta * a)
+        a = mixture._padded_logits(xs)[1]
+        log_ratio = -_logsumexp(beta * a)
+        log_ratio += beta * _logsumexp(a)
+        keep = np.log(1.0 - u) < log_ratio[:xs.shape[0]]
         cuts = np.cumsum(sizes)[:-1]
         for i, rows, kept in zip(short, np.split(xs, cuts), np.split(keep, cuts)):
             out[i].append(rows[kept])
@@ -257,21 +259,6 @@ def _check_exact(mixture, beta):
         raise TypeError("exact sampling needs an unperturbed mixture")
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-
-
-def _logsumexp0(a):
-    """``scipy.special.logsumexp(a, axis=0)`` of a finite real 1-d or 2-d array.
-
-    Same operations in the same order, so the same bits, without scipy's
-    array-API dispatch, which makes it several times slower on (2, 131072).
-    """
-    a_max = a.max(axis=0)
-    is_max = a == a_max
-    m = is_max.sum(axis=0, dtype=a.dtype)
-    # each maximum's term leaves the sum for m; times False it is the 0 of
-    # scipy's exp(-inf) without numpy's slow path for where and -inf
-    s = (np.exp(a - a_max) * ~is_max).sum(axis=0)
-    return np.log1p(s / m) + np.log(m) + a_max
 
 
 def concentration_check(

@@ -81,27 +81,27 @@ DIGESTS = {
         "trace.csv": "0a172dae3c4bf2f206cb679ec1eb155b052a2eef6dc7080f4489fcb1e12744ad",
     },
     "sample-four": {
-        "estimates.json": "5030c59d450262c5732ee92df6ccae8049ffcf3e4cb7b8f83b989fd1f9fb23b9",
+        "estimates.json": "26b1f1c29d32ba14c45d980931069fb867b8ac3cf5e0a2b2bd20ffa9ca9078ec",
         "samples.csv": "096ac6ace94c09c865e6c493e3c7a05abe8e59ecb1293d68f97063f46cbebcfc",
         "stdout": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
         "summary.txt": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
     },
     "sample-perturbed-w1": {
-        "estimates.json": "24f1b280c478c5f142313d20b8740a2ca5654cad4a2348ac3ede182fc4ba56c7",
+        "estimates.json": "fbcc711ff1f3c53eda319af9117d119c56859f6ab66f0f5c3a38246aa3e2df16",
         "samples.csv": "c225c1d106e1705e2e0c7f68367125f96f5a1c1569b64246960110f5923bdaa3",
         "stdout": "a9e624be97a8985e8922c92b7b7f0416b0d1e2c17eac96f4fc9b9229f8a6987a",
         "summary.txt": "a9e624be97a8985e8922c92b7b7f0416b0d1e2c17eac96f4fc9b9229f8a6987a",
         "trace.csv": "782de5e0c30dddb6be25aa21f751f2e1edcbf31840de805a57835573d8144da7",
     },
     "sample-perturbed-w2": {
-        "estimates.json": "24f1b280c478c5f142313d20b8740a2ca5654cad4a2348ac3ede182fc4ba56c7",
+        "estimates.json": "fbcc711ff1f3c53eda319af9117d119c56859f6ab66f0f5c3a38246aa3e2df16",
         "samples.csv": "c225c1d106e1705e2e0c7f68367125f96f5a1c1569b64246960110f5923bdaa3",
         "stdout": "81a61a165edfc621beea4772a62d5fdb55bc01f65f7e8cf14744823ab7772648",
         "summary.txt": "81a61a165edfc621beea4772a62d5fdb55bc01f65f7e8cf14744823ab7772648",
         "trace.csv": "782de5e0c30dddb6be25aa21f751f2e1edcbf31840de805a57835573d8144da7",
     },
     "sample-uniform": {
-        "estimates.json": "11eac17060ee9a66df2cc50f169278c5d9f9802398dad40158c4d506392301ef",
+        "estimates.json": "ad6a24c579e4045cad268d4319198ed852c69370d256e4db49c1a762c7488ee9",
         "samples.csv": "c0725ddfe78b7906f190e59a83189d3c8b55df38a33ab4e6b5f85d191398a2fc",
         "stdout": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",
         "summary.txt": "16073606e8496441bfbe81292fb0ebf9208d37c0ec8a862179022a4543d5267a",

@@ -21,7 +21,7 @@ from stlmc.partition_estimator import (
     save_estimates,
 )
 from stlmc.tempering_chain import RunParams, make_ladder, new_batch_stats
-from stlmc import partition_estimator
+from stlmc import mixture_target, partition_estimator
 
 
 class _NegativeEnergy:
@@ -286,22 +286,43 @@ def test_concentration_check_desk_pair(desk):
     assert 0.0 < res.ratio <= 1.0
 
 
-def test_logsumexp0_matches_scipy_bit_for_bit():
+class _GivenEnergies:
+    """Stand-in target with given energies and unbounded slack for the ratio factor."""
+
+    d = 1
+    delta = math.inf
+
+    def __init__(self, energies):
+        self.energies = energies
+
+    def f(self, x):
+        return self.energies
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the last place of max(1, |ref|)."""
+    return np.abs(got - ref) / np.spacing(np.maximum(1.0, np.abs(ref)))
+
+
+def test_logsumexp_matches_scipy_within_4_ulp():
     rng = np.random.default_rng(4)
     for k in (1, 2, 3, 5):
         for scale in (0.01, 1.0, 50.0, 700.0):
             a = rng.normal(size=(k, 3000)) * scale
             a[:, :100] = a[0, :100]  # every row tied for the maximum
             a[:, 100:200] = np.round(a[:, 100:200])  # some rows tied
-            np.testing.assert_array_equal(partition_estimator._logsumexp0(a),
-                                          logsumexp(a, axis=0))
-    # estimate_next_z's 1-d weights against scipy's default axis=None
+            ref = logsumexp(a, axis=0)
+            assert _ulps(mixture_target._logsumexp(a.copy()), ref).max() <= 4
+    # estimate_next_z's 1-d weights (beta_l - beta_next) f against scipy's default axis=None
     for n in (1, 2, 7, 3000):
         for scale in (0.01, 1.0, 50.0, 700.0):
             a = rng.normal(size=n) * scale
             for v in (a, np.round(a), np.full(n, a[0]), np.zeros(n)):
-                assert (np.float64(partition_estimator._logsumexp0(v)).tobytes()
-                        == np.float64(logsumexp(v)).tobytes())
+                ref = logsumexp(v)
+                assert _ulps(mixture_target._logsumexp(v[:, None].copy())[0], ref) <= 4
+                # beta_l - beta_next = -1, so the weights are v
+                got = estimate_next_z(np.zeros((n, 1)), _GivenEnergies(-v), 1.0, 2.0, 0.0)
+                assert _ulps(got, ref - math.log(n)) <= 4
 
 
 def _reference_exact_draws(mix, n, rng, beta):
@@ -316,7 +337,7 @@ def _reference_exact_draws(mix, n, rng, beta):
         batch = max(2 * (n - got), 128)
         comp = rng.choice(mix.n, size=batch, p=wb)
         xs = mix.means[comp] + math.sqrt(mix.sigma2 / beta) * rng.standard_normal((batch, mix.d))
-        a = mix._logits(xs)
+        a = mix._padded_logits(xs)[1][:, :batch]
         log_ratio = beta * logsumexp(a, axis=0) - logsumexp(beta * a, axis=0)
         keep = np.log(1.0 - rng.random(batch)) < log_ratio
         out.append(xs[keep])
