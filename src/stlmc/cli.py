@@ -31,7 +31,6 @@ from .diagnostics import (
 from .errors import (
     BoundViolationError,
     ConfigError,
-    NonConvergenceError,
     NonFiniteGradientError,
     RetriesExhaustedError,
     _coerce,
@@ -399,9 +398,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NonConvergenceError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

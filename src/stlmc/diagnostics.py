@@ -128,7 +128,7 @@ def tv_distance(histogram: Histogram, exact_masses) -> float:
 
 
 def exact_bin_masses(target, histogram: Histogram, beta=1.0):
-    """Exact probability mass of the level-beta density in each bin.
+    """Exact probability mass of the level-beta density in each bin, for d <= 2.
 
     Plain mixtures at beta = 1 use the closed-form Gaussian cell masses.
     Otherwise ``_panel_integrals`` integrates exp(-beta f) over panels that
@@ -139,6 +139,8 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     """
     if histogram.d != target.d:
         raise ValueError("histogram and target dimensions differ")
+    if target.d > 2:
+        raise ValueError("bin-mass oracle supports d <= 2 only")
     if isinstance(target, GaussianMixture) and beta == 1.0:
         sigma = math.sqrt(target.sigma2)
         per_axis = []

@@ -102,6 +102,8 @@ class RunParams:
             raise ValueError(f"eta must be positive (got {self.eta!r})")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError(f"T must be positive (got {self.T!r})")
+        if not math.isfinite(self.T / self.eta):
+            raise ValueError(f"T / eta must be finite (got T={self.T!r}, eta={self.eta!r})")
         if self.t < 1:
             raise ValueError("t must be a positive integer")
         if self.m is not None and self.m < 1:

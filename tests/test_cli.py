@@ -84,6 +84,16 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_step_count_is_usage_error(tmp_path, capsys):
+    # round(T / eta) raised OverflowError in the first stage
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--eta", "1e-10", "--T", "1e300",
+                 "--seed", "1", "--out", str(out)]) == 2
+    assert "T / eta must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--seed", "1"], ["analyze", "--eta", "0.1"],
                                   ["analyze", "--bins", "5"], ["estimate-z", "--bins", "5"],
                                   ["estimate-z", "--mode-radius", "1"]])

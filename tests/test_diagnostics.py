@@ -130,6 +130,13 @@ def test_exact_bin_masses_closed_form_matches_quadrature_2d():
     assert closed.sum() == pytest.approx(1.0, abs=1e-5)
 
 
+def test_exact_bin_masses_refuses_d_above_2():
+    mix = GaussianMixture([0.5, 0.5], [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], 1.0)
+    h = Histogram([-5.0] * 3, [5.0] * 3, 5, np.zeros((5, 5, 5), dtype=np.int64), 0)
+    with pytest.raises(ValueError, match="d <= 2"):
+        exact_bin_masses(mix, h)
+
+
 def test_exact_bin_masses_flattened_level(desk):
     lo, hi = default_box(desk)
     h = Histogram(lo, hi, 40, np.zeros(40, dtype=np.int64), 0)

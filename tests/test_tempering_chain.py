@@ -569,6 +569,14 @@ def test_run_params_validation():
         RunParams(eta=0.1, T=0.5, t=10, proposal_mode="sideways")
 
 
+@pytest.mark.parametrize("eta, T", [(1e-10, 1e300), (5e-324, 1.0)])
+def test_run_params_refuses_an_overflowing_step_count(eta, T):
+    # steps_per_macro, round(T / eta), raised OverflowError mid-run
+    with pytest.raises(ValueError, match="T / eta") as exc:
+        RunParams(eta=eta, T=T, t=10)
+    assert f"T={T!r}" in str(exc.value) and f"eta={eta!r}" in str(exc.value)
+
+
 def test_run_params_convert_once():
     # a config's run section may hold 1 for 1.0 or "300" for 300
     p = RunParams(eta="0.1", T=1, t="300", m=50.0, seed=np.int64(7), max_retries=3.0,
