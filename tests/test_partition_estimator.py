@@ -24,14 +24,17 @@ from stlmc.tempering_chain import RunParams, make_ladder, new_batch_stats
 from stlmc import mixture_target, partition_estimator
 
 
-class _NegativeEnergy:
-    """Stand-in target whose energy dips below zero with no declared slack."""
+class _GivenEnergies:
+    """Stand-in target with given energies and perturbation slack ``delta``."""
 
     d = 1
-    delta = 0.0
+
+    def __init__(self, energies, delta):
+        self.energies = energies
+        self.delta = delta
 
     def f(self, x):
-        return np.full(np.asarray(x).shape[0], -1.0)
+        return self.energies
 
 
 def test_estimate_next_z_degenerate_cases():
@@ -62,7 +65,8 @@ def test_estimate_next_z_ratio_factor_never_positive():
         assert nxt <= lz + 1e-12
         lz, beta = nxt, beta_next
     with pytest.raises(BoundViolationError):
-        estimate_next_z(np.zeros((10, 1)), _NegativeEnergy(), 0.5, 1.0, 0.0)
+        # energies below zero with no declared slack
+        estimate_next_z(np.zeros((10, 1)), _GivenEnergies(np.full(10, -1.0), 0.0), 0.5, 1.0, 0.0)
 
 
 def test_single_gaussian_ratio_estimate():
@@ -286,19 +290,6 @@ def test_concentration_check_desk_pair(desk):
     assert 0.0 < res.ratio <= 1.0
 
 
-class _GivenEnergies:
-    """Stand-in target with given energies and unbounded slack for the ratio factor."""
-
-    d = 1
-    delta = math.inf
-
-    def __init__(self, energies):
-        self.energies = energies
-
-    def f(self, x):
-        return self.energies
-
-
 def _ulps(got, ref):
     """|got - ref| in units of the last place of max(1, |ref|)."""
     return np.abs(got - ref) / np.spacing(np.maximum(1.0, np.abs(ref)))
@@ -320,8 +311,8 @@ def test_logsumexp_matches_scipy_within_4_ulp():
             for v in (a, np.round(a), np.full(n, a[0]), np.zeros(n)):
                 ref = logsumexp(v)
                 assert _ulps(mixture_target._logsumexp(v[:, None].copy())[0], ref) <= 4
-                # beta_l - beta_next = -1, so the weights are v
-                got = estimate_next_z(np.zeros((n, 1)), _GivenEnergies(-v), 1.0, 2.0, 0.0)
+                # beta_l - beta_next = -1, so the weights are v; no slack bound
+                got = estimate_next_z(np.zeros((n, 1)), _GivenEnergies(-v, math.inf), 1.0, 2.0, 0.0)
                 assert _ulps(got, ref - math.log(n)) <= 4
 
 
