@@ -43,6 +43,8 @@ CASES = {
     "sample-perturbed-w2": (["sample", "--trace", "--workers", "2"], PERTURBED_DESK,
                             {"t": 80}),
     "sample-four": (["sample", "--bins", "20"], FOUR, {"t": 100, "c2": 2.0}),
+    # a d = 2 trace whose chain reaches the top in its third round
+    "sample-four-trace": (["sample", "--trace", "--bins", "20"], FOUR, {"t": 36, "c2": 2.0}),
     "sample-uniform": (["sample", "--trace", "--proposal-mode", "uniform"], CHEAP, {}),
     "sample-wide": (["sample", "--n-samples", "100"], WIDE, {"c2": 4.0}),
     "estimate-z": (["estimate-z"], CHEAP, {}),
@@ -85,6 +87,13 @@ DIGESTS = {
         "samples.csv": "096ac6ace94c09c865e6c493e3c7a05abe8e59ecb1293d68f97063f46cbebcfc",
         "stdout": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
         "summary.txt": "469658c74fb1002336add12c5ddd83e2d62bdc65ea3984b3976a20507d313e34",
+    },
+    "sample-four-trace": {
+        "estimates.json": "0b4c93095a714ee0eeea8941ba23a468031106d759cac6a7d4b0857383478e45",
+        "samples.csv": "a60e9478436ade6a2745405231259755c8b9501bcb8413e7e7a9408b34cd6c64",
+        "stdout": "0216606ee1accdcb34ebd17fdc6fec4cec85ee918b5ade7ba6ff534982741415",
+        "summary.txt": "0216606ee1accdcb34ebd17fdc6fec4cec85ee918b5ade7ba6ff534982741415",
+        "trace.csv": "4bedc23cd3250128f3f76c21e4caeff6d4387e496cef8f3a494774dcb9d7c771",
     },
     "sample-perturbed-w1": {
         "estimates.json": "fbcc711ff1f3c53eda319af9117d119c56859f6ab66f0f5c3a38246aa3e2df16",
