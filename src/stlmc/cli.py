@@ -38,7 +38,7 @@ from .errors import (
 from .langevin_kernel import run_macro_step
 from .mixture_target import GaussianMixture, target_from_config
 from .partition_estimator import run_main_algorithm, save_estimates
-from .tempering_chain import RunParams, make_ladder, run_stlmc, write_trace_csv
+from .tempering_chain import RunParams, make_ladder, run_stlmc
 from .verification import run_suites
 
 # the run options RunParams gives no default, and the CLI's own option
@@ -118,13 +118,16 @@ def _mode_radius(args, cfg, target):
     return r
 
 
-def _write_samples_csv(path, samples):
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    with open(path, "w") as fh:
-        fh.write("# stlmc samples v1\n")
-        fh.write("sample," + ",".join(f"x_{j + 1}" for j in range(samples.shape[1])) + "\n")
-        for i, row in enumerate(samples):
-            fh.write(str(i) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+def _write_csv(out, kind, columns, table, int_columns):
+    """Write a float table as ``out/<kind>.csv`` under a versioned comment.
+
+    The first ``int_columns`` columns hold exact integers and are written
+    as such; the rest take 17 significant digits, which read back to the
+    same floats.
+    """
+    fmt = ["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)
+    np.savetxt(os.path.join(out, f"{kind}.csv"), table, fmt=fmt, delimiter=",",
+               header=f"# stlmc {kind} v1\n" + ",".join(columns), comments="")
 
 
 def _report(out, name, lines):
@@ -226,11 +229,14 @@ def cmd_sample(args) -> int:
         _, trace = run_stlmc(target, result.betas, result.log_zhat, params, rng)
 
     os.makedirs(out, exist_ok=True)
-    _write_samples_csv(os.path.join(out, "samples.csv"), result.samples)
+    xs = [f"x_{j + 1}" for j in range(target.d)]
+    samples = result.samples
+    _write_csv(out, "samples", ["sample"] + xs,
+               np.column_stack([np.arange(samples.shape[0]), samples]), 1)
     save_estimates(os.path.join(out, "estimates.json"), result.betas, result.log_zhat, params)
     _report(out, "summary.txt", lines)
     if args.trace:
-        write_trace_csv(os.path.join(out, "trace.csv"), trace, target.d)
+        _write_csv(out, "trace", ["step", "level", "move_type", "accepted"] + xs, trace, 4)
     return 0
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "run_tempering_batch",
     "new_batch_stats",
     "merge_batch_stats",
-    "write_trace_csv",
 ]
 
 _PROPOSAL_MODES = ("uniform", "neighbor")
@@ -386,11 +385,12 @@ def run_stlmc(target, betas, log_zhat, params, rng):
     ``rng``, for at most ``params.max_retries`` rounds, and the first
     row in row order that ends at the top is returned. Attempts are
     i.i.d., so this has the law of retrying one attempt at a time.
-    The trace lists one row per step of that attempt and of every
-    attempt before it: (step, level, move_type, accepted, x...), with
-    steps numbered 1, 2, ... across attempts, levels 1-based, move type
-    1 (within level) or 2 (level move) and accepted 1 for every
-    within-level move.
+    The trace is a (rows, 4 + d) float array with one row per step of
+    that attempt and of every attempt before it: step, level,
+    move_type, accepted, then x, with steps numbered 1, 2, ... across
+    attempts, levels 1-based, move type 1 (within level) or 2 (level
+    move) and accepted 1 for every within-level move; its first four
+    columns hold exact integers.
 
     Raises
     ------
@@ -404,37 +404,16 @@ def run_stlmc(target, betas, log_zhat, params, rng):
     trace = []
     final_levels: dict[int, int] = {}
     for _ in range(params.max_retries):
-        moves = np.empty((t, n, 3), dtype=np.int64)  # level, move type, accepted
-        path = np.empty((t, n, d))
+        history = np.empty((t, n, 3 + d))  # level, move type, accepted, x
         walk = _walk(target, betas, log_zhat, [rng], n, params)
         for step, (x, lev, heads, accepted) in enumerate(walk):
-            moves[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted])
-            path[step] = x
+            history[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted, x])
         top = np.flatnonzero(lev == len(betas) - 1)
         rows = top[0] + 1 if top.size else n
-        trace += _trace_rows(len(trace) + 1, moves[:, :rows], path[:, :rows])
+        trace.append(history[:, :rows].transpose(1, 0, 2).reshape(-1, 3 + d))
         if top.size:
-            return x[top[0]], trace
+            trace = np.concatenate(trace)
+            return x[top[0]], np.column_stack([np.arange(1, trace.shape[0] + 1), trace])
         for level, count in zip(*np.unique(lev + 1, return_counts=True)):
             final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
     raise RetriesExhaustedError(params.max_retries, final_levels)
-
-
-def _trace_rows(first_step, moves, path):
-    """Trace tuples of (t, rows, .) step histories, attempt after attempt."""
-    moves = moves.transpose(1, 0, 2).reshape(-1, 3)
-    path = path.transpose(1, 0, 2).reshape(moves.shape[0], -1)
-    steps = first_step + np.arange(moves.shape[0])
-    return [(s, *m, *p) for s, m, p in zip(steps.tolist(), moves.tolist(), path.tolist())]
-
-
-def write_trace_csv(path, trace, d: int) -> None:
-    """Write a chain trace as CSV with a versioned header comment."""
-    cols = ["step", "level", "move_type", "accepted"] + [f"x_{j + 1}" for j in range(d)]
-    with open(path, "w") as fh:
-        fh.write("# stlmc trace v1\n")
-        fh.write(",".join(cols) + "\n")
-        for row in trace:
-            head = ",".join(str(int(v)) for v in row[:4])
-            tail = ",".join(f"{v:.17g}" for v in row[4:])
-            fh.write(head + "," + tail + "\n")

@@ -17,6 +17,7 @@ from scipy.stats import chi2_contingency
 from stlmc.errors import NonFiniteGradientError, RetriesExhaustedError
 from stlmc.mixture_target import GaussianMixture, PerturbedTarget
 from stlmc import tempering_chain
+from stlmc.cli import _write_csv
 from stlmc.diagnostics import log_partition_quadrature
 from stlmc.partition_estimator import run_main_algorithm
 from stlmc.tempering_chain import (
@@ -29,7 +30,6 @@ from stlmc.tempering_chain import (
     new_batch_stats,
     run_stlmc,
     run_tempering_batch,
-    write_trace_csv,
 )
 
 
@@ -272,22 +272,23 @@ def test_run_stlmc_trace_is_consecutive_attempts(cheap, monkeypatch, batch_rows)
     attempts = []
     for seed in range(6):
         x, trace = run_stlmc(cheap, betas, np.zeros(L), params, np.random.default_rng(seed))
-        assert [row[0] for row in trace] == list(range(1, len(trace) + 1))
+        assert trace.shape[1] == 4 + cheap.d
+        np.testing.assert_array_equal(trace[:, 0], np.arange(1, len(trace) + 1))
         assert len(trace) % params.t == 0
         ends = trace[params.t - 1::params.t]
-        assert all(row[1] < L for row in ends[:-1])
-        assert ends[-1][1] == L
-        np.testing.assert_array_equal(x, ends[-1][4:])
-        for prev, row in zip(trace, trace[1:]):
-            if row[0] % params.t == 1:
-                continue  # a new attempt starts from a fresh point at level 1
-            if row[2] == 2:
-                assert row[4:] == prev[4:]
-                assert (row[1] != prev[1]) == bool(row[3])
-            else:
-                assert row[1] == prev[1] and row[3] == 1
+        assert np.all(ends[:-1, 1] < L)
+        assert ends[-1, 1] == L
+        np.testing.assert_array_equal(x, ends[-1, 4:])
+        prev, row = trace[:-1], trace[1:]
+        # a new attempt starts from a fresh point at level 1
+        same = row[:, 0] % params.t != 1
+        move, within = same & (row[:, 2] == 2), same & (row[:, 2] != 2)
+        np.testing.assert_array_equal(row[move, 4:], prev[move, 4:])
+        np.testing.assert_array_equal(row[move, 1] != prev[move, 1], row[move, 3] != 0)
+        np.testing.assert_array_equal(row[within, 1], prev[within, 1])
+        assert np.all(row[within, 3] == 1)
         x2, trace2 = run_stlmc(cheap, betas, np.zeros(L), params, np.random.default_rng(seed))
-        assert trace2 == trace
+        np.testing.assert_array_equal(trace2, trace, strict=True)
         np.testing.assert_array_equal(x2, x)
         attempts.append(len(ends))
     assert max(attempts) > 1
@@ -376,12 +377,11 @@ def test_uniform_trace_accepted_level_moves_change_level(cheap):
     for seed in range(4):
         _, trace = run_stlmc(cheap, betas, np.zeros(len(betas)), params,
                              np.random.default_rng(seed))
-        for prev, row in zip([None] + trace, trace):
-            # every attempt starts at level 1
-            before = 1 if row[0] % params.t == 1 else prev[1]
-            if row[2] == 2:
-                assert (row[1] != before) == bool(row[3])
-                stay += row[1] == before
+        # every attempt starts at level 1
+        before = np.where(trace[:, 0] % params.t == 1, 1, np.roll(trace[:, 1], 1))
+        move = trace[:, 2] == 2
+        np.testing.assert_array_equal(trace[move, 1] != before[move], trace[move, 3] != 0)
+        stay += np.count_nonzero(trace[move, 1] == before[move])
     assert stay > 0
 
 
@@ -540,18 +540,25 @@ def test_swap_counts_match_add_at_reference(cheap, mode):
 
 
 def test_write_trace_csv(tmp_path, desk):
+    # the CLI's CSV writer formats each row as a per-row loop of str(int(v))
+    # and f"{v:.17g}" does, and every float reads back exactly
     betas = np.array([1.0])
     params = RunParams(eta=0.1, T=0.5, t=5)
     _, trace = run_stlmc(desk, betas, np.zeros(1), params, np.random.default_rng(3))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace, d=1)
-    lines = path.read_text().splitlines()
+    edges = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e300, -1e-300]
+    trace = np.vstack([trace, [[len(trace) + 1 + i, 1, 1, 1, v] for i, v in enumerate(edges)]])
+    _write_csv(tmp_path, "trace", ["step", "level", "move_type", "accepted", "x_1"], trace, 4)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "# stlmc trace v1"
     assert lines[1] == "step,level,move_type,accepted,x_1"
     assert len(lines) == 2 + len(trace)
+    for line, row in zip(lines[2:], trace.tolist()):
+        assert line == ",".join([str(int(v)) for v in row[:4]] + [f"{v:.17g}" for v in row[4:]])
     first = lines[2].split(",")
     assert first[0] == "1"
-    float(first[4])
+    read = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    np.testing.assert_array_equal(read, trace)
+    assert np.signbit(read[-7, 4]) and not np.signbit(read[-8, 4])
 
 
 def test_run_params_validation():
@@ -724,7 +731,7 @@ def test_helper_thread_trace_is_bit_identical(monkeypatch, cheap):
 
     (sample0, trace0), (sample1, trace1) = _both_paths(monkeypatch, run)
     np.testing.assert_array_equal(sample1, sample0)
-    assert trace1 == trace0
+    np.testing.assert_array_equal(trace1, trace0, strict=True)
     assert len(trace0) > 12  # more than one round ran
 
 
