@@ -57,13 +57,14 @@ class RetriesExhaustedError(RuntimeError):
     """A sampling run never ended at the top temperature level.
 
     ``attempts`` is the number of rounds of restarts used, the
-    ``max_retries`` budget; ``final_levels`` maps each final level
-    reached, numbered from 1, to the number of chains that ended there.
+    ``max_retries`` budget. ``level_counts`` counts the chains that ended
+    at each 0-based level; ``final_levels`` maps each final level
+    reached, numbered from 1, to that count.
     """
 
-    def __init__(self, attempts, final_levels, message=None):
+    def __init__(self, attempts, level_counts, message=None):
         self.attempts = attempts
-        self.final_levels = dict(final_levels)
+        self.final_levels = {lv + 1: int(c) for lv, c in enumerate(level_counts) if c}
         super().__init__(
             message
             or f"no accepted sample after {attempts} rounds; "

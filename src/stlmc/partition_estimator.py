@@ -159,7 +159,7 @@ def _collect_top(target, betas, log_zhat, n_want, params, workers, name, pool=No
             return np.concatenate(chunks, axis=0)[:n_want], stats
     raise RetriesExhaustedError(
         params.max_retries,
-        {lv + 1: int(c) for lv, c in enumerate(final_levels) if c},
+        final_levels,
         message=(
             f"{name} failed: {got}/{n_want} top-level replicas after "
             f"{params.max_retries} rounds"

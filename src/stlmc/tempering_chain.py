@@ -400,20 +400,20 @@ def run_stlmc(target, betas, log_zhat, params, rng):
     """
     check_step_size(params.eta, target)
     betas, log_zhat = _ladder(betas, log_zhat)
+    L = betas.shape[0]
     t, n, d = params.t, _TRACE_ROWS, target.d
     trace = []
-    final_levels: dict[int, int] = {}
+    level_counts = np.zeros(L, dtype=np.int64)
     for _ in range(params.max_retries):
         history = np.empty((t, n, 3 + d))  # level, move type, accepted, x
         walk = _walk(target, betas, log_zhat, [rng], n, params)
         for step, (x, lev, heads, accepted) in enumerate(walk):
             history[step] = np.column_stack([lev + 1, np.where(heads, 1, 2), heads | accepted, x])
-        top = np.flatnonzero(lev == len(betas) - 1)
+        top = np.flatnonzero(lev == L - 1)
         rows = top[0] + 1 if top.size else n
         trace.append(history[:, :rows].transpose(1, 0, 2).reshape(-1, 3 + d))
         if top.size:
             trace = np.concatenate(trace)
             return x[top[0]], np.column_stack([np.arange(1, trace.shape[0] + 1), trace])
-        for level, count in zip(*np.unique(lev + 1, return_counts=True)):
-            final_levels[int(level)] = final_levels.get(int(level), 0) + int(count)
-    raise RetriesExhaustedError(params.max_retries, final_levels)
+        level_counts += np.bincount(lev, minlength=L)
+    raise RetriesExhaustedError(params.max_retries, level_counts)
