@@ -177,13 +177,16 @@ def run_main_algorithm(target, params: RunParams, n_samples=1000, workers=1) -> 
     collects ``n_samples`` top-level points from the full ladder and,
     when ``n_samples`` > 0, is the last of ``stats["phases"]``, one batch
     stats dict per stage. With ``workers > 1`` one pool of at most as many
-    processes as usable CPUs serves every stage.
+    processes as usable CPUs serves every stage. A ladder whose last
+    stage t neighbor moves cannot climb is refused before any sampling
+    (``RunParams.check_climb``).
     """
     if params.seed is None:
         raise ValueError("params.seed is required for reproducible runs")
     check_step_size(params.eta, target)
     betas = make_ladder(target, params.c1, params.c2)
     L = len(betas)
+    params.check_climb(L if n_samples > 0 else L - 1)
     m = params.stage_samples(L)
     lz = [0.0]
     phases = []

@@ -97,10 +97,10 @@ class RunParams:
             value = getattr(self, name)
             if value is not None or name not in ("m", "seed"):
                 object.__setattr__(self, name, _coerce(name, kind, value))
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive (got {self.eta!r})")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"T must be positive (got {self.T!r})")
+        for name in ("eta", "T", "c1", "c2"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite (got {value!r})")
         if not math.isfinite(self.T / self.eta):
             raise ValueError(f"T / eta must be finite (got T={self.T!r}, eta={self.eta!r})")
         if self.t < 1:
@@ -123,6 +123,17 @@ class RunParams:
         """Endpoints per estimation stage on an L-level ladder: m, or 10 L^2."""
         return self.m if self.m is not None else 10 * L * L
 
+    def check_climb(self, L: int) -> None:
+        """Refuse an L-level ladder whose top t neighbor moves cannot reach.
+
+        A chain starts at level 1 and a neighbor move climbs at most one
+        level, so it needs t >= L - 1 steps; a uniform move reaches any
+        level in one.
+        """
+        if self.proposal_mode == "neighbor" and self.t < L - 1:
+            raise ValueError(f"t={self.t} steps cannot climb from level 1 to level {L} "
+                             f"with neighbor moves; give t >= {L - 1}")
+
 
 def make_ladder(target, c1=1.0, c2=1.0) -> np.ndarray:
     """Arithmetic ladder of inverse temperatures sized from the target geometry.
@@ -136,8 +147,8 @@ def make_ladder(target, c1=1.0, c2=1.0) -> np.ndarray:
     result is a read-only 1-d array, strictly increasing from beta_1 > 0
     to exactly 1; levels carry equal weight.
     """
-    if not (c1 > 0 and c2 > 0):
-        raise ValueError("c1 and c2 must be positive")
+    if not (c1 > 0 and c2 > 0 and math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError(f"c1 and c2 must be positive and finite (got c1={c1!r}, c2={c2!r})")
     D = target.D
     if D == 0.0:
         betas = [1.0]
@@ -394,6 +405,8 @@ def run_stlmc(target, betas, log_zhat, params, rng):
 
     Raises
     ------
+    ValueError
+        When t neighbor moves cannot climb the ladder (``RunParams.check_climb``).
     RetriesExhaustedError
         When every attempt ends below the top level; the error carries
         the round count and a histogram of 1-based final levels.
@@ -401,6 +414,7 @@ def run_stlmc(target, betas, log_zhat, params, rng):
     check_step_size(params.eta, target)
     betas, log_zhat = _ladder(betas, log_zhat)
     L = betas.shape[0]
+    params.check_climb(L)
     t, n, d = params.t, _TRACE_ROWS, target.d
     trace = []
     level_counts = np.zeros(L, dtype=np.int64)

@@ -94,6 +94,29 @@ def test_overflowing_step_count_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--c1", "--c2"])
+def test_non_finite_ladder_scale_is_usage_error(tmp_path, capsys, flag):
+    # --c1 inf sampled plain Langevin on a one-level ladder, --c2 inf on two levels
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), flag, "inf", "--out", str(out)]) == 2
+    assert f"{flag[2:]} must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ladder_neighbor_moves_cannot_climb_is_usage_error(tmp_path, capsys):
+    # two steps never carry a chain from level 1 to level 4 of the +-1.5
+    # ladder: the final stage ran out its 100 rounds and exited 1
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sample", "--config", str(cfg), "--t", "2", "--out", str(out)]) == 2
+    assert "t=2 steps cannot climb from level 1 to level 4" in capsys.readouterr().err
+    assert not out.exists()
+    # estimation alone stops at level 3, which two steps reach
+    assert main(["estimate-z", "--config", str(cfg), "--t", "2", "--out", str(out)]) == 0
+    assert (out / "estimates.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--seed", "1"], ["analyze", "--eta", "0.1"],
                                   ["analyze", "--bins", "5"], ["estimate-z", "--bins", "5"],
                                   ["estimate-z", "--mode-radius", "1"]])

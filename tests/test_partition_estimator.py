@@ -201,9 +201,29 @@ def test_round_budget_is_max_retries(cheap):
     assert exc.value.final_levels == {1: 2 * 512}
 
 
+def test_refuses_a_ladder_neighbor_moves_cannot_climb(cheap):
+    # on the 4-level ladder the final stage needs t >= 3, and estimation
+    # alone, whose last stage tops out at level 3, t >= 2
+    params = RunParams(eta=0.1, T=0.5, t=2, m=10, seed=3)
+    with pytest.raises(ValueError, match="t=2 steps cannot climb from level 1 to level 4"):
+        run_main_algorithm(cheap, params, n_samples=10)
+    assert len(run_main_algorithm(cheap, params, n_samples=0).log_zhat) == 4
+    with pytest.raises(ValueError, match="t=1 steps cannot climb from level 1 to level 3"):
+        run_main_algorithm(cheap, RunParams(eta=0.1, T=0.5, t=1, m=10, seed=3), n_samples=0)
+
+
 def test_stage_failures_name_the_stage_once(monkeypatch, cheap):
-    # one step per chain cannot carry a replica from level 1 to level 3
-    params = RunParams(eta=0.1, T=0.5, t=1, m=10, seed=3, max_retries=1)
+    params = RunParams(eta=0.1, T=0.5, t=40, m=10, seed=3, max_retries=1)
+    estimate = partition_estimator.estimate_next_z
+
+    def high_at(beta):
+        # the estimate for the level at beta, 60 too large
+        monkeypatch.setattr(partition_estimator, "estimate_next_z",
+                            lambda xs, target, b, b_next, lz: estimate(xs, target, b, b_next, lz)
+                            + (60.0 if b_next == beta else 0.0))
+
+    # a level-3 normalizer 60 too large keeps stage 3 off its top level
+    high_at(make_ladder(cheap)[2])
     with pytest.raises(RetriesExhaustedError) as exc:
         run_main_algorithm(cheap, params, n_samples=10)
     assert str(exc.value) == (
@@ -212,11 +232,7 @@ def test_stage_failures_name_the_stage_once(monkeypatch, cheap):
     assert sum(exc.value.final_levels.values()) == 512 and 3 not in exc.value.final_levels
     # a top-level normalizer 60 too large keeps the final stage off the top
     # level, after every estimation stage has filled in its one round
-    estimate = partition_estimator.estimate_next_z
-    monkeypatch.setattr(partition_estimator, "estimate_next_z",
-                        lambda xs, target, b, b_next, lz: estimate(xs, target, b, b_next, lz)
-                        + (60.0 if b_next == 1.0 else 0.0))
-    params = RunParams(eta=0.1, T=0.5, t=40, m=10, seed=3, max_retries=1)
+    high_at(1.0)
     with pytest.raises(RetriesExhaustedError) as exc:
         run_main_algorithm(cheap, params, n_samples=10)
     assert str(exc.value) == (

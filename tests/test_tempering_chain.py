@@ -109,6 +109,14 @@ def test_make_ladder_refuses_a_zero_spacing(desk):
         make_ladder(desk, c2=5e-324)
 
 
+@pytest.mark.parametrize("scale", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_make_ladder_refuses_non_finite_scales(desk, name, scale):
+    # c1 = inf built the one-level ladder [1], c2 = inf the two levels [1/9, 1]
+    with pytest.raises(ValueError, match="c1 and c2 must be positive and finite"):
+        make_ladder(desk, **{name: scale})
+
+
 def test_type2_accept_prob_values():
     betas = np.array([0.5, 1.0])
     f_x = np.array([3.7, 0.0, 2.0, 2.0])
@@ -250,6 +258,19 @@ def test_run_stlmc_budget_counts_rounds(desk):
     assert len(trace) == 108 * params.t
     assert trace[-1][1] == len(betas)
     np.testing.assert_array_equal(x, trace[-1][4:])
+
+
+def test_run_stlmc_refuses_a_ladder_neighbor_moves_cannot_climb(cheap):
+    # each step moves at most one level, so two steps never carry a chain
+    # from level 1 to level 4; the run spent its 100 rounds finding that out
+    betas = make_ladder(cheap)
+    lz = np.zeros(len(betas))
+    with pytest.raises(ValueError, match="t=2 steps cannot climb from level 1 to level 4"):
+        run_stlmc(cheap, betas, lz, RunParams(eta=0.1, T=0.5, t=2), np.random.default_rng(0))
+    # one step climbs a two-level ladder, and a uniform proposal any ladder
+    run_stlmc(cheap, betas[2:], lz[2:], RunParams(eta=0.1, T=0.5, t=1), np.random.default_rng(0))
+    run_stlmc(cheap, betas, lz, RunParams(eta=0.1, T=0.5, t=2, proposal_mode="uniform"),
+              np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("driver", ["run_stlmc", "run_tempering_batch"])
@@ -574,6 +595,13 @@ def test_run_params_validation():
         RunParams(eta=0.1, T=0.5, t=10, max_retries=0)
     with pytest.raises(ValueError, match="proposal_mode"):
         RunParams(eta=0.1, T=0.5, t=10, proposal_mode="sideways")
+
+
+@pytest.mark.parametrize("name, value", [("c1", math.inf), ("c2", math.inf),
+                                         ("c1", math.nan), ("c2", 0.0), ("c1", -1.0)])
+def test_run_params_refuses_bad_ladder_scales(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        RunParams(eta=0.1, T=0.5, t=10, **{name: value})
 
 
 @pytest.mark.parametrize("eta, T", [(1e-10, 1e300), (5e-324, 1.0)])
