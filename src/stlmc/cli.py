@@ -230,9 +230,8 @@ def cmd_sample(args) -> int:
 
     os.makedirs(out, exist_ok=True)
     xs = [f"x_{j + 1}" for j in range(target.d)]
-    samples = result.samples
     _write_csv(out, "samples", ["sample"] + xs,
-               np.column_stack([np.arange(samples.shape[0]), samples]), 1)
+               np.column_stack([np.arange(len(result.samples)), result.samples]), 1)
     save_estimates(os.path.join(out, "estimates.json"), result.betas, result.log_zhat, params)
     _report(out, "summary.txt", lines)
     if args.trace:

@@ -10,8 +10,8 @@ levels carry equal weight (the uniform level prior of Marinari & Parisi
 level is no level move: it is neither counted nor accepted.
 Levels are 0-based indices into the ladder, with the top level L - 1 at
 beta = 1, so an accepted run ends at the true target temperature; only
-the trace file, the CLI summary and ``RetriesExhaustedError`` print
-them 1-based.
+``run_stlmc``'s trace, the CLI summary and ``RetriesExhaustedError``
+number them from 1.
 
 Both callers below run the chain as one walk, ``_walk``, which draws
 the rows' start points and then advances them one step at a time:
