@@ -179,6 +179,49 @@ def test_unknown_config_key_is_refused_before_sampling(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def _perturbed(pert):
+    return {"target": {"weights": [1.0], "means": [[0.0]], "sigma2": 1.0, "perturbation": pert}}
+
+
+_MIX = {"weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0}
+
+
+# the whole stderr line of every case of the two tests above
+@pytest.mark.parametrize("command, overrides, line", [
+    ("analyze", {"run": None}, "the run section must be a JSON object (got None)"),
+    ("analyze", {"run": []}, "the run section must be a JSON object (got [])"),
+    ("analyze", {"run": "ab"}, "the run section must be a JSON object (got 'ab')"),
+    ("analyze", {"target": None}, "the target section must be a JSON object (got None)"),
+    ("analyze", {"target": []}, "the target section must be a JSON object (got [])"),
+    ("analyze", {"target": "x"}, "the target section must be a JSON object (got 'x')"),
+    ("analyze", _perturbed(3), "the perturbation section must be a JSON object (got 3)"),
+    ("analyze", _perturbed({"amplitude": None}),
+     "perturbation.amplitude must be float (got None)"),
+    ("analyze", _perturbed({"amplitude": True}),
+     "perturbation.amplitude must be float (got True)"),
+    ("analyze", _perturbed({"amplitude": 0.2, "scale": True}),
+     "perturbation.scale must be float (got True)"),
+    ("analyze", {"target": {"weights": [1.0], "means": [[0.0]], "sigma2": True}},
+     "target.sigma2 must be float (got True)"),
+    ("analyze", {"output_dir": 3}, "output_dir must be a string (got 3)"),
+    ("sample", {"n_sample": 50}, "unknown config keys ['n_sample']"),
+    ("sample", {"target": dict(_MIX, perturbaton={"amplitude": 0.2})},
+     "unknown target keys ['perturbaton']"),
+    ("sample", {"target": dict(_MIX, perturbation={"amplitude": 0.2, "scal": 2.0})},
+     "unknown perturbation keys ['scal']"),
+])
+def test_config_refusal_lines(tmp_path, capsys, monkeypatch, command, overrides, line):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "run_main_algorithm", no_run)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, **dict({"output_dir": str(out)}, **overrides))
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_unusable_out_is_refused_up_front(tmp_path, capsys, monkeypatch, out):
     def no_run(*args, **kwargs):
