@@ -533,6 +533,8 @@ def discretize_langevin_generator(target, beta, R, n_cells) -> DiscretizedGenera
     d = target.d
     if d > 2:
         raise ValueError("generator discretization supports d <= 2 only")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite (got {beta!r})")
     min_R = target.D + 6.0 * math.sqrt(target.sigma2 / beta)
     if R < min_R - 1e-12:
         raise ValueError(f"R={R} violates the box bound R >= D + 6*sigma/sqrt(beta) = {min_R:.6g}")

@@ -311,7 +311,7 @@ def cmd_analyze(args) -> int:
     for i in range(1, len(betas)):
         aff = float(np.minimum(dens[i - 1], dens[i]).sum())
         lines.append(f"  {i}->{i + 1}: {aff:.4f}")
-    if isinstance(target, GaussianMixture):
+    if isinstance(target, GaussianMixture) and len(betas) > 1:
         lines.append("adjacent-level partition-ratio margins:")
         ratios, lowers = z_ratio_bound_check(target, betas[:-1], betas[1:])
         for i, (ratio, lower) in enumerate(zip(ratios, lowers), 1):

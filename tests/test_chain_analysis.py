@@ -395,6 +395,13 @@ def test_discretize_validation(desk):
         discretize_langevin_generator(desk, 1.0, 9.0, 1)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+def test_discretize_refuses_bad_beta(desk, beta):
+    # nan and inf gave NaN weights, 0 a ZeroDivisionError, -1 a math domain error
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        discretize_langevin_generator(desk, beta, 9.0, 100)
+
+
 def test_perturbation_gap_check(desk):
     gen = discretize_langevin_generator(desk, 1.0, 9.0, 300)
     ratios = perturbation_gap_check(gen, gen, 0.0, k=4)

@@ -502,6 +502,18 @@ def test_analyze_reports_spectra(tmp_path, capsys):
     assert "partition-ratio margins" in report
 
 
+def test_analyze_one_level_ladder(tmp_path, capsys):
+    # z_ratio_bound_check on no level pairs raised numpy's zero-size
+    # reduction error, and analyze exited 2
+    cfg = write_config(tmp_path, target={"weights": [1.0], "means": [[0.0]], "sigma2": 1.0})
+    out = tmp_path / "an"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out), "--cells", "50"]) == 0
+    lines = (out / "analyze.txt").read_text().splitlines()
+    assert lines[-1] == "adjacent-level overlap (whole-space affinity):"
+    assert [line for line in lines if line.startswith("  beta=")] == [lines[3]]
+    assert lines[3].startswith("  beta=1.000000: ")
+
+
 def test_compare_writes_both_methods(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"
