@@ -36,14 +36,16 @@ from .errors import (
     _coerce,
 )
 from .langevin_kernel import run_macro_step
-from .mixture_target import GaussianMixture, target_from_config
-from .partition_estimator import run_main_algorithm, save_estimates
+from .mixture_target import GaussianMixture, PerturbedTarget
+from .partition_estimator import run_main_algorithm
 from .tempering_chain import RunParams, make_ladder, run_stlmc
 from .verification import run_suites
 
 # the run options RunParams gives no default, and the CLI's own option
 _RUN_DEFAULTS = {"eta": 0.1, "T": 0.5, "t": 300, "workers": 1}
 _RUN_KEYS = {f.name for f in dataclasses.fields(RunParams)} | {"workers"}
+_TARGET_KEYS = {f.name for f in dataclasses.fields(GaussianMixture)} | {"perturbation"}
+_PERTURBATION_KEYS = {f.name for f in dataclasses.fields(PerturbedTarget)} - {"base"}
 _CONFIG_KEYS = {"target", "run", "n_samples", "mode_radius", "output_dir"}
 # the most points the TV step's exact bin masses may take (2D, 100 bins: 1.56 M)
 _TV_POINTS = 2**24
@@ -60,23 +62,57 @@ def _load_target(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict) or "target" not in cfg:
+    if "target" not in _section(cfg, "config", _CONFIG_KEYS):
         raise ConfigError("config must be a JSON object with a 'target' section")
-    unknown = set(cfg) - _CONFIG_KEYS
+    return cfg, _target(cfg["target"])
+
+
+def _section(value, name, keys):
+    """``value``, refused unless it is a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"the {name} section must be a JSON object (got {value!r})")
+    unknown = set(value) - keys
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    return cfg, target_from_config(cfg["target"])
+        raise ConfigError(f"unknown {name} keys {sorted(unknown)}")
+    return value
+
+
+def _target(section):
+    """The target a config's ``target`` section specifies.
+
+    A field that does not convert to floats raises a ValueError naming it.
+    """
+    section = _section(section, "target", _TARGET_KEYS)
+
+    # named, as _coerce's message names the converter: "must be floats"
+    def floats(value):
+        return np.asarray(value, dtype=float)
+
+    try:
+        weights, means, sigma2 = section["weights"], section["means"], section["sigma2"]
+    except KeyError as exc:
+        raise ConfigError(f"target config missing field {exc.args[0]!r}") from None
+    mix = GaussianMixture(
+        weights=_coerce("target.weights", floats, weights),
+        means=_coerce("target.means", floats, means),
+        sigma2=_coerce("target.sigma2", float, sigma2),
+    )
+    pert = section.get("perturbation")
+    if pert is None:
+        return mix
+    pert = _section(pert, "perturbation", _PERTURBATION_KEYS)
+    if "amplitude" not in pert:
+        raise ConfigError("perturbation config requires an 'amplitude' field")
+    return PerturbedTarget(
+        mix,
+        amplitude=_coerce("perturbation.amplitude", float, pert["amplitude"]),
+        scale=_coerce("perturbation.scale", float, pert.get("scale", 1.0)),
+    )
 
 
 def _merge_run_params(cfg, args, require_seed):
     """``(params, workers)`` from the config's run section and the flags; flags win."""
-    section = cfg.get("run", {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"the run section must be a JSON object (got {section!r})")
-    unknown = set(section) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown run options {sorted(unknown)}")
-    run = dict(_RUN_DEFAULTS, **section)
+    run = dict(_RUN_DEFAULTS, **_section(cfg.get("run", {}), "run", _RUN_KEYS))
     for key in _RUN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -128,6 +164,21 @@ def _write_csv(out, kind, columns, table, int_columns):
     fmt = ["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)
     np.savetxt(os.path.join(out, f"{kind}.csv"), table, fmt=fmt, delimiter=",",
                header=f"# stlmc {kind} v1\n" + ",".join(columns), comments="")
+
+
+def _write_estimates(out, betas, log_zhat, params):
+    """Write ``out/estimates.json``: the ladder, its estimates and the run options."""
+    payload = {
+        "format": "stlmc-estimates-v1",
+        "betas": [float(b) for b in betas],
+        "log_zhat": [float(v) for v in log_zhat],
+        "seed": params.seed,
+        "params": {k: getattr(params, k)
+                   for k in ("eta", "T", "t", "m", "max_retries", "proposal_mode")},
+    }
+    with open(os.path.join(out, "estimates.json"), "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _report(out, name, lines):
@@ -232,7 +283,7 @@ def cmd_sample(args) -> int:
     xs = [f"x_{j + 1}" for j in range(target.d)]
     _write_csv(out, "samples", ["sample"] + xs,
                np.column_stack([np.arange(len(result.samples)), result.samples]), 1)
-    save_estimates(os.path.join(out, "estimates.json"), result.betas, result.log_zhat, params)
+    _write_estimates(out, result.betas, result.log_zhat, params)
     _report(out, "summary.txt", lines)
     if args.trace:
         _write_csv(out, "trace", ["step", "level", "move_type", "accepted"] + xs, trace, 4)
@@ -280,7 +331,7 @@ def cmd_estimate_z(args) -> int:
               for lvl, (b, lz, col) in enumerate(zip(betas, log_zhat, cols), 1)]
     lines.append(tail)
     os.makedirs(out, exist_ok=True)
-    save_estimates(os.path.join(out, "estimates.json"), betas, log_zhat, params)
+    _write_estimates(out, betas, log_zhat, params)
     _report(out, "estimate_z.txt", lines)
     return 0
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError, _coerce
+from .errors import NonConvergenceError
 
 __all__ = [
     "GaussianMixture",
@@ -49,7 +49,6 @@ __all__ = [
     "hessian_max_eig",
     "close_to_sum_ratio",
     "check_perturbation_bounds",
-    "target_from_config",
 ]
 
 # The kernels pad their column width with zero columns to a multiple of
@@ -389,46 +388,3 @@ def check_perturbation_bounds(target: PerturbedTarget, n_points=10_000, rng=None
     f_dev = np.abs(target.f(pts) - target.base.f(pts))
     g_dev = np.linalg.norm(target.grad(pts) - target.base.grad(pts), axis=1)
     return float(f_dev.max()), float(g_dev.max())
-
-
-def target_from_config(config: dict):
-    """Build a target from a config's ``target`` section.
-
-    Expected fields: ``weights``, ``means``, ``sigma2`` and optionally
-    ``perturbation`` with ``amplitude`` and ``scale``. A section that is
-    not a mapping, a key outside these, or a field that does not convert
-    to floats, raises a ValueError naming it.
-    """
-    if not isinstance(config, dict):
-        raise ValueError(f"the target section must be a JSON object (got {config!r})")
-    unknown = set(config) - {"weights", "means", "sigma2", "perturbation"}
-    if unknown:
-        raise ValueError(f"unknown target keys {sorted(unknown)}")
-
-    def floats(value):
-        return np.asarray(value, dtype=float)
-
-    try:
-        weights, means, sigma2 = config["weights"], config["means"], config["sigma2"]
-    except KeyError as exc:
-        raise ValueError(f"target config missing field {exc.args[0]!r}") from None
-    mix = GaussianMixture(
-        weights=_coerce("target.weights", floats, weights),
-        means=_coerce("target.means", floats, means),
-        sigma2=_coerce("target.sigma2", float, sigma2),
-    )
-    pert = config.get("perturbation")
-    if pert is None:
-        return mix
-    if not isinstance(pert, dict):
-        raise ValueError(f"the perturbation section must be a JSON object (got {pert!r})")
-    unknown = set(pert) - {"amplitude", "scale"}
-    if unknown:
-        raise ValueError(f"unknown perturbation keys {sorted(unknown)}")
-    if "amplitude" not in pert:
-        raise ValueError("perturbation config requires an 'amplitude' field")
-    return PerturbedTarget(
-        mix,
-        amplitude=_coerce("perturbation.amplitude", float, pert["amplitude"]),
-        scale=_coerce("perturbation.scale", float, pert.get("scale", 1.0)),
-    )

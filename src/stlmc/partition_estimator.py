@@ -17,7 +17,6 @@ comes from ``RunParams``.
 """
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -46,8 +45,6 @@ __all__ = [
     "run_main_algorithm",
     "concentration_check",
     "sample_exact",
-    "save_estimates",
-    "load_estimates",
 ]
 
 _BLOCK = 512
@@ -305,34 +302,3 @@ def concentration_check(
         epsilon=epsilon,
         n_trials=n_trials,
     )
-
-
-def save_estimates(path, betas, log_zhat, params: RunParams) -> None:
-    """Persist estimates with enough context to resume or audit a run."""
-    payload = {
-        "format": "stlmc-estimates-v1",
-        "betas": [float(b) for b in betas],
-        "log_zhat": [float(v) for v in log_zhat],
-        "seed": params.seed,
-        "params": {
-            "eta": params.eta,
-            "T": params.T,
-            "t": params.t,
-            "m": params.m,
-            "max_retries": params.max_retries,
-            "proposal_mode": params.proposal_mode,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_estimates(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "stlmc-estimates-v1":
-        raise ValueError(f"unrecognized estimates file format in {path}")
-    payload["betas"] = np.asarray(payload["betas"], dtype=float)
-    payload["log_zhat"] = np.asarray(payload["log_zhat"], dtype=float)
-    return payload

@@ -158,6 +158,7 @@ def test_malformed_config_section_is_usage_error(tmp_path, capsys, section, valu
 
 @pytest.mark.parametrize("section, key", [
     ("config", "n_sample"), ("target", "perturbaton"), ("perturbation", "scal"),
+    ("run", "step_count"),
 ])
 def test_unknown_config_key_is_refused_before_sampling(tmp_path, capsys, monkeypatch,
                                                        section, key):
@@ -168,6 +169,8 @@ def test_unknown_config_key_is_refused_before_sampling(tmp_path, capsys, monkeyp
     target = {"weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0}
     if section == "config":
         cfg = write_config(tmp_path, n_sample=50)
+    elif section == "run":
+        cfg = write_config(tmp_path, run={"eta": 0.1, "t": 80, "seed": 5, "step_count": 3})
     elif section == "target":
         cfg = write_config(tmp_path, target=dict(target, perturbaton={"amplitude": 0.2}))
     else:

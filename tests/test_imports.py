@@ -16,6 +16,8 @@ public package class counts as read when a package or ``bench/`` module
 reads an attribute of its name outside its own body, or when it is such
 an entry point. Each entry point must itself name a definition: a name in
 some module's ``__all__`` or a public ``Class.method`` of the package.
+Only ``cli`` calls ``open`` or imports ``json``: the command line owns
+every file format, and the other modules compute.
 """
 import ast
 from pathlib import Path
@@ -154,7 +156,7 @@ def run(t: Thing):
 
 BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
 # public names and methods meant for users of the library, which no module reads
-ENTRY_POINTS = {"load_estimates", "perturbation_gap_check", "DiscretizedGenerator.to_chain"}
+ENTRY_POINTS = {"perturbation_gap_check", "DiscretizedGenerator.to_chain"}
 
 
 def _exported_names(tree):
@@ -184,7 +186,7 @@ def test_package_reads_every_public_name_it_exports():
 
 def test_checker_sees_unread_public_names():
     sources = ["""
-__all__ = ["Used", "helper", "recursive", "only_in_bench", "unread", "load_estimates"]
+__all__ = ["Used", "helper", "recursive", "only_in_bench", "unread", "perturbation_gap_check"]
 class Used:
     def copy(self):
         return Used()
@@ -194,7 +196,7 @@ def recursive(n):
     return recursive(n - 1) if n else 0
 def unread():
     pass
-def load_estimates():
+def perturbation_gap_check():
     pass
 """, """
 from .a import helper
@@ -298,3 +300,38 @@ class DiscretizedGenerator:
                     "DiscretizedGenerator._private", "perturbation_gap_check"}
     assert _stale_entry_points(sources, entry_points) == [
         "DiscretizedGenerator._private", "perturbation_gap_check"]
+
+
+def _file_io(source):
+    """``(line, "open")`` for every ``open`` call and ``(line, "json")`` for every
+    ``json`` import in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "open":
+                found.append((node.lineno, "open"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "json") for alias in node.names
+                      if alias.name.split(".")[0] == "json"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+            found.append((node.lineno, "json"))
+    return sorted(found)
+
+
+def test_only_the_cli_reads_or_writes_files():
+    assert [path.name for path in MODULES if _file_io(path.read_text())] == ["cli.py"]
+
+
+def test_checker_sees_file_io():
+    source = """
+import json.decoder
+from json import dumps
+import numpy as np
+from .a import jsonish
+def f(path):
+    with open(path) as fh:
+        return fh.read()
+def g(p):
+    return p.open("w"), np.load(p), reopen(p), jsonish
+"""
+    assert _file_io(source) == [(2, "json"), (3, "json"), (7, "open"), (10, "open")]

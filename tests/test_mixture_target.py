@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlmc import mixture_target
+from stlmc import cli, mixture_target
 from stlmc.errors import NonConvergenceError
 from stlmc.mixture_target import (
     GaussianMixture,
@@ -17,7 +17,6 @@ from stlmc.mixture_target import (
     close_to_sum_ratio,
     hessian_max_eig,
     locate_min,
-    target_from_config,
 )
 
 
@@ -263,12 +262,12 @@ def test_perturbed_target_composition(desk):
 
 
 def test_target_from_config_round_trip():
-    mix = target_from_config(
+    mix = cli._target(
         {"weights": [0.5, 0.5], "means": [[-3.0], [3.0]], "sigma2": 1.0}
     )
     assert isinstance(mix, GaussianMixture)
     assert mix.D == 3.0
-    pert = target_from_config(
+    pert = cli._target(
         {
             "weights": [0.5, 0.5],
             "means": [[-3.0], [3.0]],
@@ -279,9 +278,9 @@ def test_target_from_config_round_trip():
     assert isinstance(pert, PerturbedTarget)
     assert pert.delta == 0.2
     with pytest.raises(ValueError, match="sigma2"):
-        target_from_config({"weights": [1.0], "means": [[0.0]]})
+        cli._target({"weights": [1.0], "means": [[0.0]]})
     with pytest.raises(ValueError, match="amplitude"):
-        target_from_config(
+        cli._target(
             {"weights": [1.0], "means": [[0.0]], "sigma2": 1.0,
              "perturbation": {"scale": 2.0}}
         )
@@ -314,7 +313,7 @@ def test_config_keys_are_the_constructor_fields():
     assert pert_keys | mix_keys <= values.keys()
     pert = _RecordedSection({k: values[k] for k in pert_keys})
     section = _RecordedSection({**{k: values[k] for k in mix_keys}, "perturbation": pert})
-    target = target_from_config(section)
+    target = cli._target(section)
     assert section.read == mix_keys | {"perturbation"}
     assert pert.read == pert_keys
     for k in pert_keys:
@@ -322,7 +321,7 @@ def test_config_keys_are_the_constructor_fields():
     for k in mix_keys:
         np.testing.assert_array_equal(getattr(target.base, k), values[k])
     with pytest.raises(ValueError, match=r"unknown perturbation keys \['base'\]"):
-        target_from_config({**section, "perturbation": {**pert, "base": None}})
+        cli._target({**section, "perturbation": {**pert, "base": None}})
 
 
 def _reference_f_grad(mix, pts):

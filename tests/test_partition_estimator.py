@@ -1,5 +1,4 @@
 """Tests for the inductive partition-function estimator and its oracles."""
-import json
 import math
 import os
 
@@ -15,10 +14,8 @@ from stlmc.partition_estimator import (
     _collect_top,
     concentration_check,
     estimate_next_z,
-    load_estimates,
     run_main_algorithm,
     sample_exact,
-    save_estimates,
 )
 from stlmc.tempering_chain import RunParams, make_ladder, new_batch_stats
 from stlmc import mixture_target, partition_estimator
@@ -504,20 +501,3 @@ def test_vector_log_partition_quadrature_matches_scalar_calls(desk):
             assert type(scalar) is float
             assert abs(v - scalar) <= 1e-12
 
-
-def test_save_load_estimates_round_trip(tmp_path, cheap):
-    betas = make_ladder(cheap)
-    log_zhat = np.array([0.0, -0.3, -0.6, -0.7])
-    params = RunParams(eta=0.1, T=0.5, t=80, seed=12)
-    path = tmp_path / "estimates.json"
-    save_estimates(path, betas, log_zhat, params)
-    payload = load_estimates(path)
-    np.testing.assert_allclose(payload["betas"], betas)
-    np.testing.assert_allclose(payload["log_zhat"], log_zhat)
-    assert payload["seed"] == 12
-    assert payload["params"]["t"] == 80
-    assert payload["params"]["proposal_mode"] == "neighbor"
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"format": "something-else"}\n')
-    with pytest.raises(ValueError, match="format"):
-        load_estimates(bad)
