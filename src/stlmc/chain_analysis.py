@@ -597,11 +597,14 @@ def z_ratio_bound_check(mixture, alpha, beta):
     ``[0.5 exp(-2 (beta - alpha) (D/sigma + (sqrt(d) +
     sqrt(ln(2/w_min))) / sqrt(alpha))^2), 1]``. Returns
     (ratio, lower_bound). Arrays of pairs are checked elementwise, with
-    one quadrature call for all their temperatures, and give arrays.
+    one quadrature call for all their temperatures, and give arrays; no
+    pairs give empty ones.
     """
     alpha, beta = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(beta, float))
     if not np.all((0.0 < alpha) & (alpha <= beta) & (beta <= 1.0)):
         raise ValueError("need 0 < alpha <= beta <= 1")
+    if alpha.size == 0:
+        return np.empty(alpha.shape), np.empty(alpha.shape)
     temps, where = np.unique(np.concatenate([alpha.ravel(), beta.ravel()]),
                              return_inverse=True)
     log_z = log_partition_quadrature(mixture, temps)[where]

@@ -3,7 +3,8 @@ mixture divergence inequalities, and mode-occupancy summaries.
 
 The d <= 2 oracles live here too: ``exact_bin_masses`` and
 ``log_partition_quadrature`` sum the same Gauss-Legendre panel integrals
-of exp(-beta f) over one box [-R, R]^d, R = D + 8 sigma / sqrt(beta).
+of exp(-beta f) over one box [-R, R]^d, R = D + 8 sigma / sqrt(beta), for
+every target and every beta. The module needs no scipy.
 """
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import BoundViolationError
-from .mixture_target import GaussianMixture, _as_points
+from .mixture_target import _as_points
 
 # Grid points per target.f call in the oracles' panel grid. The 2D product
 # grid of 100 bins holds 1.56 million; one f call on all of them took a
@@ -84,9 +84,6 @@ class Histogram:
     def d(self) -> int:
         return self.box_lo.size
 
-    def edges(self, axis=0):
-        return np.linspace(self.box_lo[axis], self.box_hi[axis], self.bins + 1)
-
     def masses(self):
         """Per-bin empirical probability mass."""
         if self.total == 0:
@@ -130,27 +127,16 @@ def tv_distance(histogram: Histogram, exact_masses) -> float:
 def exact_bin_masses(target, histogram: Histogram, beta=1.0):
     """Exact probability mass of the level-beta density in each bin, for d <= 2.
 
-    Plain mixtures at beta = 1 use the closed-form Gaussian cell masses.
-    Otherwise ``_panel_integrals`` integrates exp(-beta f) over panels that
-    split each bin and extend each axis to the oracles' box [-R, R], R =
-    D + 8 sigma / sqrt(beta), or to the histogram's box where that reaches
-    further. The bin integrals divided by the integral over the whole
-    grid are the masses.
+    Every target and every beta take one rule: ``_panel_integrals``
+    integrates exp(-beta f) over panels that split each bin and extend
+    each axis to the oracles' box [-R, R], R = D + 8 sigma / sqrt(beta), or
+    to the histogram's box where that reaches further. The bin integrals
+    divided by the integral over the whole grid are the masses.
     """
     if histogram.d != target.d:
         raise ValueError("histogram and target dimensions differ")
     if target.d > 2:
         raise ValueError("bin-mass oracle supports d <= 2 only")
-    if isinstance(target, GaussianMixture) and beta == 1.0:
-        sigma = math.sqrt(target.sigma2)
-        per_axis = []
-        for axis in range(target.d):
-            e = histogram.edges(axis)
-            z = (e[None, :] - target.means[:, axis, None]) / sigma
-            per_axis.append(np.diff(ndtr(z), axis=1))
-        if target.d == 1:
-            return target.weights @ per_axis[0]
-        return np.einsum("k,ki,kj->ij", target.weights, per_axis[0], per_axis[1])
     vals, counts = _panel_integrals(target, beta, histogram.box_lo, histogram.box_hi,
                                     histogram.bins)
     vals = vals[0]
@@ -163,10 +149,10 @@ def exact_bin_masses(target, histogram: Histogram, beta=1.0):
 
 def _box_half_width(target, beta):
     """D + 8 sigma / sqrt(min beta): 8 level-beta scales past the farthest mean."""
-    low = float(np.min(beta))
-    if not low > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    return target.D + 8.0 * math.sqrt(target.sigma2 / low)
+    betas = np.asarray(beta, dtype=float)
+    if not np.all((betas > 0.0) & (betas < math.inf)):
+        raise ValueError(f"beta must be positive and finite (got {beta!r})")
+    return target.D + 8.0 * math.sqrt(target.sigma2 / float(betas.min()))
 
 
 def _axis_panels(target, R, lo, hi, bins):
@@ -232,11 +218,8 @@ def _panel_integrals(target, beta, lo, hi, bins):
 def bin_mass_points(target, box_lo, box_hi, bins) -> int:
     """Points at which ``exact_bin_masses`` at beta = 1 evaluates a (bins,)*d histogram.
 
-    ``bins**d`` cells for a plain mixture's closed form, else the
-    Gauss-Legendre nodes of the product grid; counted without building it.
+    The Gauss-Legendre nodes of the panel grid, counted without building it.
     """
-    if isinstance(target, GaussianMixture):
-        return bins ** target.d
     R = _box_half_width(target, 1.0)
     points = 1
     for lo, hi in zip(box_lo, box_hi):
@@ -351,7 +334,7 @@ def mode_occupancy(points, centers, radius):
     pts, _ = _as_points(points, centers.shape[1])
     if pts.shape[0] == 0:
         raise ValueError("need at least one point")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     dist = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2)
     nearest = np.argmin(dist, axis=1)

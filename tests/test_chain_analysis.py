@@ -424,6 +424,13 @@ def test_z_ratio_bound_vector_matches_pairs(desk):
         z_ratio_bound_check(desk, betas[1:], betas[:-1])
 
 
+def test_z_ratio_bound_of_a_one_level_ladder_is_empty():
+    # a one-level ladder's betas[:-1], betas[1:] hold no pair
+    gauss = GaussianMixture([1.0], [[0.0]], 1.0)
+    ratios, lowers = z_ratio_bound_check(gauss, [], [])
+    assert ratios.shape == lowers.shape == (0,)
+
+
 def test_z_ratio_bound_desk(desk):
     ratio, lower = z_ratio_bound_check(desk, 0.25, 0.5)
     assert lower <= ratio <= 1.0

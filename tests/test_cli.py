@@ -336,22 +336,29 @@ def test_oversized_ladder_is_refused_before_sampling(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["sample", "compare"])
-def test_oversized_tv_grid_is_refused_before_sampling(tmp_path, capsys, monkeypatch, command):
-    # 1,000 bins on the perturbed four-mode mixture take 12,048 quadrature
-    # nodes per axis, 1.45e8 points
+# 1,000 bins on the perturbed four-mode mixture take 12,048 quadrature nodes
+# per axis, 1.45e8 points; the plain mixture takes the same panel grid, and
+# 338 bins are 4,104 nodes per axis, just past 2**24 points
+@pytest.mark.parametrize("command, perturbation, bins, points", [
+    ("sample", {"amplitude": 0.2, "scale": 1.0}, 1000, 145154304),
+    ("compare", {"amplitude": 0.2, "scale": 1.0}, 1000, 145154304),
+    ("sample", None, 338, 16842816),
+    ("compare", None, 338, 16842816),
+], ids=["sample", "compare", "sample-plain", "compare-plain"])
+def test_oversized_tv_grid_is_refused_before_sampling(tmp_path, capsys, monkeypatch, command,
+                                                      perturbation, bins, points):
     def no_run(*args, **kwargs):
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(cli, "run_main_algorithm", no_run)
-    cfg = write_config(tmp_path, target={
-        "weights": [0.25] * 4, "sigma2": 1.0,
-        "means": [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]],
-        "perturbation": {"amplitude": 0.2, "scale": 1.0},
-    })
+    target = {"weights": [0.25] * 4, "sigma2": 1.0,
+              "means": [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]]}
+    if perturbation:
+        target["perturbation"] = perturbation
+    cfg = write_config(tmp_path, target=target)
     out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out), "--bins", "1000"]) == 2
-    assert "145154304 points" in capsys.readouterr().err
+    assert main([command, "--config", str(cfg), "--out", str(out), "--bins", str(bins)]) == 2
+    assert f"{points} points" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -576,9 +583,6 @@ def test_analyze_exits_1_when_a_bound_check_fails(tmp_path, monkeypatch, capsys)
     assert "failure: z-ratio upper bound" in capsys.readouterr().err
 
 
-_DEFERRED =("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
-
-
 def _run_fresh(script):
     """Run ``script`` in a fresh interpreter, since this one has loaded every stack."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -590,9 +594,9 @@ def _run_fresh(script):
 
 
 def test_sampling_loads_no_deferred_scipy_stack(tmp_path):
-    # a sample run with --trace needs numpy and scipy.special only, and
-    # analyze then loads what it uses on its first call; the quadrature
-    # oracle of estimate-z and analyze needs no scipy.integrate
+    # importing every module, a sample run with --trace and estimate-z need
+    # numpy only, and analyze then loads what it uses on its first call; its
+    # quadrature oracle needs no scipy.integrate
     cfg = write_config(tmp_path)
     script = f"""
 import importlib, pkgutil, sys
@@ -602,14 +606,13 @@ for mod in pkgutil.iter_modules(stlmc.__path__):
 from stlmc import cli
 assert cli.main(["sample", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "s")!r},
                  "--m", "20", "--t", "40", "--trace"]) == 0
-deferred = {_DEFERRED!r}
-loaded = [name for name in deferred if name in sys.modules]
-assert not loaded, f"sample loaded {{loaded}}"
 assert cli.main(["estimate-z", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "z")!r},
                  "--m", "20", "--t", "40"]) == 0
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, f"sample or estimate-z loaded {{loaded}}"
 assert cli.main(["analyze", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "a")!r},
                  "--cells", "50"]) == 0
-assert "scipy.integrate" not in sys.modules, "estimate-z or analyze loaded scipy.integrate"
+assert "scipy.integrate" not in sys.modules, "analyze loaded scipy.integrate"
 """
     _run_fresh(script)
     assert (tmp_path / "s" / "trace.csv").exists()
@@ -618,8 +621,8 @@ assert "scipy.integrate" not in sys.modules, "estimate-z or analyze loaded scipy
 
 
 def test_perturbed_sampling_loads_no_deferred_scipy_stack(tmp_path):
-    # the TV summary of a perturbed target normalizes without cubature; the
-    # close-mode desk variant keeps compare's plain chains short
+    # the TV summary of a perturbed target needs no scipy; the close-mode
+    # desk variant keeps compare's plain chains short
     cfg = write_config(tmp_path, target={
         "weights": [0.5, 0.5], "means": [[-1.5], [1.5]], "sigma2": 1.0,
         "perturbation": {"amplitude": 0.2, "scale": 1.0}})
@@ -629,7 +632,7 @@ from stlmc import cli
 for command in ("sample", "compare"):
     assert cli.main([command, "--config", {str(cfg)!r}, "--out", {str(tmp_path)!r} + "/" + command,
                      "--m", "10", "--t", "40", "--n-samples", "100"]) == 0
-loaded = [name for name in {_DEFERRED!r} if name in sys.modules]
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
 assert not loaded, f"sample and compare loaded {{loaded}}"
 """
     _run_fresh(script)

@@ -31,7 +31,6 @@ def test_histogram_from_samples_counts_and_overflow():
     assert h.total == 6
     assert h.counts.tolist() == [1, 3, 0]
     assert 1.0 - h.masses().sum() == pytest.approx(2.0 / 6.0)
-    np.testing.assert_allclose(h.edges(), [-3.0, -1.0, 1.0, 3.0])
     np.testing.assert_allclose(h.masses(), [1 / 6, 3 / 6, 0.0])
 
 
@@ -109,25 +108,36 @@ def test_tv_distance_shape_guard(desk):
         tv_distance(h, np.full(5, 0.2))
 
 
+def _edges(h, axis=0):
+    return np.linspace(h.box_lo[axis], h.box_hi[axis], h.bins + 1)
+
+
+def _closed_form_masses(mix, h):
+    """A plain mixture's cell masses from the Gaussian CDF, one factor per axis."""
+    sigma = math.sqrt(mix.sigma2)
+    per_axis = [np.diff(ndtr((_edges(h, axis)[None, :] - mix.means[:, axis, None]) / sigma),
+                        axis=1) for axis in range(mix.d)]
+    if mix.d == 1:
+        return mix.weights @ per_axis[0]
+    return np.einsum("k,ki,kj->ij", mix.weights, *per_axis)
+
+
 def test_exact_bin_masses_closed_form_matches_quadrature(desk):
     lo, hi = default_box(desk)
     h = Histogram(lo, hi, 50, np.zeros(50, dtype=np.int64), 0)
-    closed = exact_bin_masses(desk, h)
-    # zero-amplitude wrapper has the same density but no closed form
-    generic = exact_bin_masses(PerturbedTarget(desk, 0.0), h)
-    np.testing.assert_allclose(generic, closed, atol=1e-8)
-    assert closed.sum() == pytest.approx(1.0, abs=1e-6)
+    masses = exact_bin_masses(desk, h)
+    np.testing.assert_allclose(masses, _closed_form_masses(desk, h), rtol=0.0, atol=1e-14)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_exact_bin_masses_closed_form_matches_quadrature_2d():
     mix = GaussianMixture([0.4, 0.6], [[-1.5, 0.0], [1.5, 0.5]], 1.0)
     lo, hi = default_box(mix)
     h = Histogram(lo, hi, 16, np.zeros((16, 16), dtype=np.int64), 0)
-    closed = exact_bin_masses(mix, h)
-    generic = exact_bin_masses(PerturbedTarget(mix, 0.0), h)
-    assert closed.shape == (16, 16)
-    np.testing.assert_allclose(generic, closed, atol=1e-6)
-    assert closed.sum() == pytest.approx(1.0, abs=1e-5)
+    masses = exact_bin_masses(mix, h)
+    assert masses.shape == (16, 16)
+    np.testing.assert_allclose(masses, _closed_form_masses(mix, h), rtol=0.0, atol=1e-14)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-5)
 
 
 def test_exact_bin_masses_refuses_d_above_2():
@@ -159,16 +169,18 @@ def test_exact_bin_masses_rule_matches_closed_form_at_low_beta():
         g = GaussianMixture([1.0], [[0.0] * d], 1.0)
         lo, hi = default_box(g)
         h = Histogram(lo, hi, bins, np.zeros((bins,) * d, dtype=np.int64), 0)
-        cells = np.diff(ndtr(h.edges() * math.sqrt(beta)))
+        cells = np.diff(ndtr(_edges(h) * math.sqrt(beta)))
         expected = cells if d == 1 else np.outer(cells, cells)
         masses = exact_bin_masses(g, h, beta=beta)
         assert masses.shape == expected.shape
         np.testing.assert_allclose(masses, expected, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("beta", [0.0, -0.5, np.array([0.0, 1.0]), np.array([np.nan, 1.0])])
+@pytest.mark.parametrize("beta", [0.0, -0.5, np.array([0.0, 1.0]), np.array([np.nan, 1.0]),
+                                  np.inf, np.array([0.5, np.inf])])
 def test_oracles_refuse_a_non_positive_beta(desk, beta):
-    # the box half-width D + 8 sigma / sqrt(beta) has no meaning there
+    # the box half-width D + 8 sigma / sqrt(beta) has no meaning there, and
+    # at beta = inf exp(-beta f) is 0 or nan at every node
     with pytest.raises(ValueError, match="beta must be positive"):
         log_partition_quadrature(desk, beta)
     if np.ndim(beta) == 0:
@@ -182,7 +194,7 @@ def _bin_rule_masses(target, h, beta):
     nodes, gl_w = np.polynomial.legendre.leggauss(12)
     axes, scale = [], 1.0
     for axis in range(target.d):
-        e = h.edges(axis)
+        e = _edges(h, axis)
         half = (e[1] - e[0]) / 2.0
         axes.append((e[:-1, None] + half * (nodes[None, :] + 1.0)).ravel())
         scale *= half
@@ -220,7 +232,7 @@ def test_exact_bin_masses_resolves_bins_wider_than_sigma(desk, bins):
     target = PerturbedTarget(desk, 0.2, 0.3)
     lo, hi = default_box(target)
     h = Histogram(lo, hi, bins, np.zeros(bins, dtype=np.int64), 0)
-    e = h.edges()
+    e = _edges(h)
     # the rule normalizes on [-(D + 8 sigma), D + 8 sigma], past which lies < 1e-14 of the mass
     expected = (np.array([_quad_pieces(target, u, v, 0.5) for u, v in zip(e[:-1], e[1:])])
                 / _quad_pieces(target, -11.0, 11.0, 0.5))
@@ -234,7 +246,7 @@ def test_exact_bin_masses_resolves_perturbations_shorter_than_sigma(desk, scale,
     target = PerturbedTarget(desk, 0.2, scale)
     lo, hi = default_box(target)
     h = Histogram(lo, hi, bins, np.zeros(bins, dtype=np.int64), 0)
-    e = h.edges()
+    e = _edges(h)
     inside = np.array([_quad_pieces(target, u, v, scale / 4) for u, v in zip(e[:-1], e[1:])])
     tails = _quad_pieces(target, -11.0, lo[0], scale / 4) + _quad_pieces(target, hi[0], 11.0,
                                                                           scale / 4)
@@ -290,7 +302,7 @@ def test_exact_bin_masses_box_past_the_quadrature_box(desk, lo, hi):
     masses = exact_bin_masses(PerturbedTarget(base, 0.0), h)
     assert masses.min() >= 0.0
     assert masses.sum() <= 1.0 + 1e-12
-    np.testing.assert_allclose(masses, exact_bin_masses(base, h), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(masses, _closed_form_masses(base, h), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("lo, hi, bins", [([-9.0], [9.0], 100), ([-9.0], [9.0], 2),
@@ -300,14 +312,16 @@ def test_bin_mass_points_counts_the_rows_exact_bin_masses_evaluates(monkeypatch,
     base = desk if len(lo) == 1 else GaussianMixture([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]], 1.0)
     target = PerturbedTarget(base, 0.2)
     rows = []
-    inner = PerturbedTarget.f
-    monkeypatch.setattr(PerturbedTarget, "f",
-                        lambda obj, x: rows.append(len(x)) or inner(obj, x))
+    for cls in (GaussianMixture, PerturbedTarget):
+        monkeypatch.setattr(cls, "f", lambda obj, x, inner=cls.f: rows.append(len(x))
+                            or inner(obj, x))
     h = Histogram(lo, hi, bins, np.zeros((bins,) * len(lo), dtype=np.int64), 0)
     exact_bin_masses(target, h)
     assert bin_mass_points(target, lo, hi, bins) == sum(rows)
-    # the closed form evaluates no point, and holds one mass per cell
-    assert bin_mass_points(base, lo, hi, bins) == bins ** len(lo)
+    # a plain mixture takes the same panel grid
+    rows.clear()
+    exact_bin_masses(base, h)
+    assert bin_mass_points(base, lo, hi, bins) == sum(rows)
 
 
 def test_chi_sq_divergence_values():
@@ -386,6 +400,8 @@ def test_mode_occupancy_exact_assignment():
 def test_mode_occupancy_validation():
     with pytest.raises(ValueError, match="radius"):
         mode_occupancy([0.0], [[0.0]], 0.0)
+    with pytest.raises(ValueError, match="radius"):
+        mode_occupancy([0.0], [[0.0]], math.nan)
     with pytest.raises(ValueError, match="at least one point"):
         mode_occupancy(np.zeros((0, 1)), [[0.0]], 1.0)
 
